@@ -52,7 +52,6 @@ from .baselines import (
 from .objectives import (
     AffinityProblem,
     HashingProblem,
-    QuadraticForm,
     make_affinity_objective,
     make_dense_subgraph,
     make_hashing_objective,

@@ -93,12 +93,6 @@ def sgm_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
     )
 
 
-def _batched_values(f: Objective, X: np.ndarray) -> np.ndarray:
-    if f.value_batch is not None:
-        return np.asarray(f.value_batch(X), dtype=float)
-    return np.array([f.value(row) for row in X])
-
-
 def _feasible_blocks(n: int, c: ConstraintSpec):
     # yields (m, n) blocks of sign vectors covering the feasible set once
     if c.is_exact_ones:
@@ -136,7 +130,7 @@ def exhaustive_oracle(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
     worst = -math.inf
     count = 0
     for X in _feasible_blocks(n, c):
-        vals = _batched_values(f, X)
+        vals = f.values(X)
         count += len(vals)
         i = int(np.argmin(vals))
         if vals[i] < best:
@@ -172,7 +166,7 @@ def random_search(f: Objective, c: ConstraintSpec, samples: int, seed=0) -> Orac
                 X[np.arange(m)[:, None], order] = 1.0
         else:
             X = rng.integers(0, 2, size=(m, n)) * 2.0 - 1.0
-        vals = _batched_values(f, X)
+        vals = f.values(X)
         i = int(np.argmin(vals))
         if vals[i] < best:
             best = float(vals[i])

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -182,15 +183,7 @@ def cmd_hash(args) -> int:
     if args.code_length < 1:
         raise DomainError("code length must be >= 1")
     cfg = _config_from(args, default_cadence=0)
-    inner = SolverConfig(
-        alpha1=cfg.alpha1, alpha2=cfg.alpha2,
-        max_iterations=min(cfg.max_iterations, 20),
-        neighborhood_cadence=cfg.neighborhood_cadence,
-        neighborhood_radius=cfg.neighborhood_radius,
-        neighborhood_budget=cfg.neighborhood_budget,
-        neighborhood_patience=cfg.neighborhood_patience,
-        threshold_policy=cfg.threshold_policy,
-    )
+    inner = replace(cfg, max_iterations=min(cfg.max_iterations, 20))
     X = hash_mod.load_matrix(args.features)
     raw_labels = hash_mod.load_matrix(args.labels)
     if X.shape[0] != raw_labels.shape[0]:

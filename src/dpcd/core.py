@@ -75,15 +75,18 @@ class Objective:
 
     value and gradient must be deterministic. gradient accepts any real
     point of the box, not just binary points, so finite-difference checks
-    are well defined. Optional fields speed up specific consumers and never
-    change semantics:
+    are well defined. Consumers score many points through two methods:
 
-      value_batch   rows-of-points evaluation, shape (m, n) -> (m,)
-      flips_delta   f(x with signs flipped on each index row) - f(x),
-                    given x and an (m, j) index matrix with distinct
-                    entries per row
-      coeff_abs_sum entrywise absolute coefficient mass of a quadratic,
-                    sum|A_ij| + sum|c_i|, used by step bounds
+      values(X)         f at each row of an (m, n) matrix; uses the
+                        optional value_batch when set, else value per row
+      deltas(x, flips)  f(x with signs flipped on each row of an (m, j)
+                        index matrix, entries distinct per row) - f(x);
+                        uses the optional flips_delta when set, else value
+                        on each flipped copy
+
+    A fast field must agree with value up to rounding. coeff_abs_sum is
+    the entrywise absolute coefficient mass of a quadratic,
+    sum|A_ij| + sum|c_i|, used by step bounds.
     """
 
     dimension: int
@@ -100,6 +103,23 @@ class Objective:
             raise DomainError("objective dimension must be >= 1")
         if self.lipschitz is not None and self.lipschitz < 0:
             raise DomainError("lipschitz constant must be nonnegative")
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        if self.value_batch is not None:
+            return np.asarray(self.value_batch(X), dtype=float)
+        return np.array([self.value(row) for row in X])
+
+    def deltas(self, x: np.ndarray, flips: np.ndarray) -> np.ndarray:
+        if self.flips_delta is not None:
+            return np.asarray(self.flips_delta(x, flips), dtype=float)
+        fx = self.value(x)
+        y = np.array(x)
+        out = np.empty(flips.shape[0])
+        for i, row in enumerate(flips):
+            y[row] *= -1.0
+            out[i] = self.value(y) - fx
+            y[row] *= -1.0
+        return out
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ Also hosts the dense-matrix file formats the command line accepts.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -140,16 +140,7 @@ def alternating_hash(X: np.ndarray, Y: np.ndarray, r: int,
         W = solve_w(B, Y, lam)
         history.append(hashing_loss(B, W, Y, lam))
         objective = make_hashing_objective(problem, W)
-        step_cfg = SolverConfig(
-            alpha1=inner.alpha1, alpha2=inner.alpha2,
-            max_iterations=inner.max_iterations,
-            neighborhood_cadence=inner.neighborhood_cadence,
-            neighborhood_radius=inner.neighborhood_radius,
-            neighborhood_budget=inner.neighborhood_budget,
-            neighborhood_patience=inner.neighborhood_patience,
-            threshold_policy=inner.threshold_policy,
-            seed=int(rng.integers(0, 2**31 - 1)),
-        )
+        step_cfg = replace(inner, seed=int(rng.integers(0, 2**31 - 1)))
         report = dpcd_solve(objective, UNCONSTRAINED, step_cfg,
                             initial_point=B.ravel())
         history.append(report.final_value)

@@ -8,7 +8,7 @@ reshape internally, so the solver only ever sees flat sign vectors.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -24,15 +24,6 @@ from .core import (
 # quadratics with dimension up to this get a dense coefficient copy for
 # fast gathers in flips_delta; beyond it sparse fancy indexing is used
 _DENSE_GATHER_LIMIT = 1500
-
-
-@dataclass(frozen=True)
-class QuadraticForm:
-    """Coefficients of f(x) = x'Ax + c'x + d with A symmetric."""
-
-    A: object
-    c: np.ndarray
-    d: float
 
 
 @dataclass(frozen=True)
@@ -120,15 +111,10 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
         delta = -4.0 * np.einsum("ij,ij->i", xf, g[flips])
         delta -= 2.0 * np.einsum("ij,ij->i", xf, c[flips])
         j = flips.shape[1]
-        if sp.issparse(gather):
-            for u in range(j):
-                for v in range(j):
-                    avals = np.asarray(gather[flips[:, u], flips[:, v]]).ravel()
-                    delta += 4.0 * xf[:, u] * xf[:, v] * avals
-        else:
-            for u in range(j):
-                for v in range(j):
-                    delta += 4.0 * xf[:, u] * xf[:, v] * gather[flips[:, u], flips[:, v]]
+        for u in range(j):
+            for v in range(j):
+                avals = np.asarray(gather[flips[:, u], flips[:, v]]).ravel()
+                delta += 4.0 * xf[:, u] * xf[:, v] * avals
         return delta
 
     return Objective(
@@ -199,16 +185,7 @@ def make_dense_subgraph(graph, k: int):
     W = graph.matrix()
     degrees = np.asarray(W.sum(axis=1)).ravel()
     obj = make_quadratic(-W, -2.0 * degrees, 0.0)
-    return Objective(
-        dimension=n,
-        value=obj.value,
-        gradient=obj.gradient,
-        lipschitz=obj.lipschitz,
-        value_batch=obj.value_batch,
-        flips_delta=obj.flips_delta,
-        coeff_abs_sum=obj.coeff_abs_sum,
-        name="dense-subgraph",
-    ), exact_ones(k)
+    return replace(obj, name="dense-subgraph"), exact_ones(k)
 
 
 def make_hashing_objective(problem: HashingProblem, W: np.ndarray) -> Objective:

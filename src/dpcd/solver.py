@@ -83,9 +83,7 @@ class SolverConfig:
     #                             0 disables it entirely
     #   neighborhood_radius       max flips (or swap pairs) per search move
     #   neighborhood_budget       sampled candidates when the neighborhood
-    #                             exceeds the enumeration cap; 0 asks for
-    #                             exhaustive search and falls back to the
-    #                             default budget over the cap
+    #                             exceeds the enumeration cap; >= 1
     #   neighborhood_patience     consecutive fruitless sampled searches
     #                             tolerated before declaring convergence
     #   threshold_policy, seed    see ThresholdPolicy; seed feeds one rng
@@ -105,8 +103,10 @@ class SolverConfig:
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be >= 1")
         if min(self.neighborhood_cadence, self.neighborhood_radius,
-               self.neighborhood_budget, self.neighborhood_patience) < 0:
+               self.neighborhood_patience) < 0:
             raise DomainError("neighborhood settings must be nonnegative")
+        if self.neighborhood_budget < 1:
+            raise DomainError("neighborhood_budget must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -180,70 +180,52 @@ def balanced_flip(x: BinaryVector, gradient, sets: PrincipalSets) -> BinaryVecto
     return out
 
 
+def _flip_pools(x: BinaryVector, c: ConstraintSpec) -> list:
+    """Index pools a radius-j move takes j entries from each of: all
+    coordinates on the cube; the +1 and the -1 positions on the slice, so
+    a slice move swaps j pairs and keeps the +1 count."""
+    xa = np.asarray(x)
+    if c.is_exact_ones:
+        return [np.nonzero(xa > 0)[0], np.nonzero(xa < 0)[0]]
+    return [np.arange(len(xa))]
+
+
 def neighborhood_size(x: BinaryVector, c: ConstraintSpec, m: int) -> int:
     """Exact neighbor count (the point itself excluded)."""
-    n = len(x)
-    if c.is_exact_ones:
-        p = int(np.sum(np.asarray(x) > 0))
-        q = n - p
-        return sum(math.comb(p, j) * math.comb(q, j) for j in range(1, min(m, p, q) + 1))
-    return sum(math.comb(n, j) for j in range(1, min(m, n) + 1))
+    pools = _flip_pools(x, c)
+    return sum(math.prod(math.comb(len(p), j) for p in pools)
+               for j in range(1, min(m, *map(len, pools)) + 1))
+
+
+def _exhaustive_blocks(pools: list, top: int) -> Iterator[np.ndarray]:
+    # every move of radius 1..top in blocks of _EVAL_CHUNK rows; a move is
+    # one j-subset per pool, ordered drop-major (the first pool varies
+    # slowest), and each pool's subsets are held as one array per radius
+    for j in range(1, top + 1):
+        subsets = []
+        for p in pools:
+            flat = itertools.chain.from_iterable(itertools.combinations(range(len(p)), j))
+            rows = np.fromiter(flat, dtype=np.intp, count=math.comb(len(p), j) * j)
+            subsets.append(p[rows.reshape(-1, j)])
+        shape = [len(s) for s in subsets]
+        total = math.prod(shape)
+        for lo in range(0, total, _EVAL_CHUNK):
+            picks = np.unravel_index(np.arange(lo, min(lo + _EVAL_CHUNK, total)), shape)
+            yield np.concatenate([s[i] for s, i in zip(subsets, picks)], axis=1)
 
 
 def enumerate_neighborhood(x: BinaryVector, c: ConstraintSpec, m: int) -> Iterator[BinaryVector]:
     """Yield every neighbor: points at Hamming distance <= m, or reachable
     by interchanging <= m (+1, -1) pairs when the +1 count is pinned.
-    Intended for small instances and tests; the solver path works on index
-    sets instead."""
-    for flips in _neighbor_index_sets(x, c, m):
-        y = np.array(x)
-        y[list(flips)] *= -1.0
-        y.flags.writeable = False
-        yield y
-
-
-def _neighbor_index_groups(x, c, m):
-    # yields (radius, iterator of flip-index tuples); tuples within one
-    # group share a length, which keeps batched evaluation rectangular
-    n = len(x)
-    if c.is_exact_ones:
-        plus = np.nonzero(np.asarray(x) > 0)[0]
-        minus = np.nonzero(np.asarray(x) < 0)[0]
-        for j in range(1, min(m, len(plus), len(minus)) + 1):
-            yield j, (drop + add
-                      for drop in itertools.combinations(plus, j)
-                      for add in itertools.combinations(minus, j))
-    else:
-        for j in range(1, min(m, n) + 1):
-            yield j, itertools.combinations(range(n), j)
-
-
-def _neighbor_index_sets(x, c, m):
-    for _, group in _neighbor_index_groups(x, c, m):
-        yield from group
-
-
-def _candidate_deltas(f: Objective, x, fx: float, flips: np.ndarray) -> np.ndarray:
-    """f(x flipped on each index row) - f(x) for an (m, j) index matrix."""
-    if f.flips_delta is not None:
-        return np.asarray(f.flips_delta(x, flips), dtype=float)
-    cnt = flips.shape[0]
-    out = np.empty(cnt)
-    if f.value_batch is not None:
-        step = max(1, _EVAL_CHUNK * 64 // max(1, len(x) // 64 + 1))
-        for lo in range(0, cnt, step):
-            hi = min(cnt, lo + step)
-            block = np.repeat(np.asarray(x)[None, :], hi - lo, axis=0)
-            rows = np.arange(hi - lo)[:, None]
-            block[rows, flips[lo:hi]] *= -1.0
-            out[lo:hi] = np.asarray(f.value_batch(block), dtype=float) - fx
-    else:
-        y = np.array(x)
-        for i in range(cnt):
-            y[flips[i]] *= -1.0
-            out[i] = f.value(y) - fx
-            y[flips[i]] *= -1.0
-    return out
+    Intended for small instances and tests: the index subsets of one radius
+    are built in full before its first neighbor is yielded."""
+    pools = _flip_pools(x, c)
+    for block in _exhaustive_blocks(pools, min(m, *map(len, pools))):
+        for flips in block:
+            y = np.array(x)
+            y[flips] *= -1.0
+            y.flags.writeable = False
+            yield y
 
 
 def _distinct_rows(rng: np.random.Generator, pool: np.ndarray, j: int, cnt: int) -> np.ndarray:
@@ -264,68 +246,41 @@ def _distinct_rows(rng: np.random.Generator, pool: np.ndarray, j: int, cnt: int)
     return pool[rows]
 
 
+def _sampled_blocks(pools: list, top: int, budget: int,
+                    rng: np.random.Generator) -> Iterator[np.ndarray]:
+    # radius drawn uniformly so short moves stay visible next to the
+    # combinatorially dominant long ones; one block per radius drawn
+    radii = rng.integers(1, top + 1, size=budget)
+    for j in range(1, top + 1):
+        cnt = int(np.sum(radii == j))
+        if cnt:
+            yield np.concatenate([_distinct_rows(rng, p, j, cnt) for p in pools], axis=1)
+
+
 def _explore_neighborhood(x, f: Objective, c: ConstraintSpec, m: int, budget: int,
                           rng: np.random.Generator):
     """Returns (best_point, exhaustive_flag).
 
-    best_point is x itself unless a strictly better neighbor was found.
-    exhaustive_flag reports whether the whole neighborhood was enumerated,
-    which is what allows a caller to treat "no improvement" as proof of
-    local optimality.
+    best_point is x itself unless a strictly better neighbor was found; of
+    equally good neighbors the first one explored wins. exhaustive_flag
+    reports whether the whole neighborhood was enumerated, which is what
+    allows a caller to treat "no improvement" as proof of local optimality.
     """
-    n = len(x)
-    xa = np.asarray(x)
-    if c.is_exact_ones:
-        plus = np.nonzero(xa > 0)[0]
-        minus = np.nonzero(xa < 0)[0]
-        m_eff = min(m, len(plus), len(minus))
-    else:
-        m_eff = min(m, n)
-    if m_eff == 0:
+    pools = _flip_pools(x, c)
+    top = min(m, *map(len, pools))
+    if top == 0:
         return x, True
-
-    size = neighborhood_size(x, c, m)
-    fx = f.value(x)
+    exhaustive = neighborhood_size(x, c, m) <= NEIGHBORHOOD_CAP
+    blocks = (_exhaustive_blocks(pools, top) if exhaustive
+              else _sampled_blocks(pools, top, budget, rng))
     best_delta = 0.0
     best_flips = None
-
-    def consider(flips: np.ndarray):
-        nonlocal best_delta, best_flips
-        if flips.shape[0] == 0:
-            return
-        deltas = _candidate_deltas(f, x, fx, flips)
+    for flips in blocks:
+        deltas = f.deltas(x, flips)
         i = int(np.argmin(deltas))
         if deltas[i] < best_delta:
             best_delta = float(deltas[i])
-            best_flips = np.array(flips[i])
-
-    if size <= NEIGHBORHOOD_CAP:
-        for _, group in _neighbor_index_groups(x, c, m):
-            buffer = []
-            for fl in group:
-                buffer.append(fl)
-                if len(buffer) >= _EVAL_CHUNK:
-                    consider(np.array(buffer, dtype=np.intp))
-                    buffer = []
-            if buffer:
-                consider(np.array(buffer, dtype=np.intp))
-        exhaustive = True
-    else:
-        draws = budget if budget > 0 else _DEFAULT_SAMPLE_BUDGET
-        # radius drawn uniformly so short moves stay visible next to the
-        # combinatorially dominant long ones
-        radii = rng.integers(1, m_eff + 1, size=draws)
-        for j in range(1, m_eff + 1):
-            cnt = int(np.sum(radii == j))
-            if cnt == 0:
-                continue
-            if c.is_exact_ones:
-                drop = _distinct_rows(rng, plus, j, cnt)
-                add = _distinct_rows(rng, minus, j, cnt)
-                consider(np.concatenate([drop, add], axis=1))
-            else:
-                consider(_distinct_rows(rng, np.arange(n), j, cnt))
-        exhaustive = False
+            best_flips = flips[i]
 
     if best_flips is None:
         return x, exhaustive
@@ -336,14 +291,17 @@ def _explore_neighborhood(x, f: Objective, c: ConstraintSpec, m: int, budget: in
 
 
 def neighborhood_search(x: BinaryVector, f: Objective, c: ConstraintSpec,
-                        m: int, budget: int = 0, seed=0) -> BinaryVector:
+                        m: int, budget: int = _DEFAULT_SAMPLE_BUDGET, seed=0) -> BinaryVector:
     """Best point among x and the explored part of its neighborhood.
 
-    Exhaustive enumeration up to NEIGHBORHOOD_CAP neighbors, seeded sampling
-    beyond it. Never returns a strictly worse point; ties keep x.
+    Exhaustive enumeration up to NEIGHBORHOOD_CAP neighbors, `budget`
+    seeded samples beyond it. Never returns a strictly worse point; ties
+    keep x.
     """
     if m < 1:
         raise DomainError("neighborhood radius must be >= 1")
+    if budget < 1:
+        raise DomainError("neighborhood budget must be >= 1")
     if not constraint_check(x, c):
         raise DomainError("neighborhood_search called with an infeasible point")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

@@ -144,6 +144,11 @@ class TestSubgraph:
         proc = run_cli("subgraph", triangle_path, "--k", 5)
         assert proc.returncode == 2
 
+    def test_zero_budget_rejected(self, triangle_path):
+        proc = run_cli("subgraph", triangle_path, "--k", 2, "--nbr-budget", 0)
+        assert proc.returncode == 2
+        assert b"neighborhood_budget" in proc.stderr
+
     def test_missing_file(self, tmp_path):
         proc = run_cli("subgraph", tmp_path / "absent.txt", "--k", 2)
         assert proc.returncode == 2

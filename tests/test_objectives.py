@@ -10,6 +10,7 @@ from dpcd import (AffinityProblem, DimensionError, DomainError, HashingProblem,
                   exhaustive_oracle, make_affinity_objective,
                   make_dense_subgraph, make_hashing_objective, make_quadratic,
                   make_shifted_separable)
+from dpcd.objectives import _DENSE_GATHER_LIMIT
 
 from conftest import assert_gradient_matches, interior_points, random_quadratic
 
@@ -73,12 +74,16 @@ class TestQuadratic:
         want = [f.value(row) for row in X]
         assert np.allclose(got, want)
 
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_flips_delta_matches_brute_force(self, sparse, rng):
-        f = random_quadratic(12, 47, sparse=sparse)
-        x = np.where(rng.random(12) < 0.5, 1.0, -1.0)
+    # past the dense-gather limit flips_delta gathers from the sparse
+    # matrix itself
+    @pytest.mark.parametrize("sparse,n,density", [
+        (False, 12, 0.3), (True, 12, 0.3), (True, _DENSE_GATHER_LIMIT + 100, 0.005)],
+        ids=["False", "True", "sparse-gather"])
+    def test_flips_delta_matches_brute_force(self, sparse, n, density, rng):
+        f = random_quadratic(n, 47, sparse=sparse, density=density)
+        x = np.where(rng.random(n) < 0.5, 1.0, -1.0)
         for j in (1, 2, 4):
-            flips = np.stack([rng.permutation(12)[:j] for _ in range(30)])
+            flips = np.stack([rng.permutation(n)[:j] for _ in range(30)])
             assert np.allclose(f.flips_delta(x, flips),
                                brute_flip_delta(f, x, flips), atol=1e-9)
 

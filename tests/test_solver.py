@@ -1,4 +1,6 @@
 """Solver mechanics: thresholds, principal sets, flips, local search, loop."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from dpcd import (GRADIENT_AVERAGE, BoundUnavailableError, DomainError,
                   exact_ones, exhaustive_oracle, make_quadratic,
                   make_shifted_separable, neighborhood_search,
                   neighborhood_size, principal_sets, random_feasible,
-                  step_bound, unconstrained_flip)
+                  random_search, step_bound, unconstrained_flip)
 
 from conftest import random_quadratic
 
@@ -168,6 +170,27 @@ class TestNeighborhoodEnumeration:
             assert constraint_check(v, c)
 
 
+    def test_enumeration_order(self):
+        # radius by radius, and on the slice drop-major: the search keeps
+        # the first of equally good neighbors, so this order is part of
+        # the seeded output
+        x = random_feasible(7, exact_ones(3), seed=2)
+        plus, minus = np.nonzero(x > 0)[0], np.nonzero(x < 0)[0]
+        want = []
+        for j in (1, 2):
+            for drop in itertools.combinations(plus, j):
+                for add in itertools.combinations(minus, j):
+                    y = np.array(x)
+                    y[list(drop + add)] *= -1.0
+                    want.append(tuple(y))
+        got = [tuple(v) for v in enumerate_neighborhood(x, exact_ones(3), 2)]
+        assert got == want
+        cube = [tuple(v) for v in enumerate_neighborhood(x, UNCONSTRAINED, 2)]
+        assert cube[:7] == [tuple(x * np.where(np.arange(7) == i, -1.0, 1.0))
+                            for i in range(7)]
+        assert cube[7] == tuple(x * np.array([-1, -1, 1, 1, 1, 1, 1.0]))
+
+
 class TestNeighborhoodSearch:
     def test_never_worse_and_feasible(self, rng):
         for trial in range(20):
@@ -228,6 +251,54 @@ class TestNeighborhoodSearch:
         y = neighborhood_search(x, f, c, m=5, budget=300, seed=5)
         assert constraint_check(y, c)
         assert f.value(y) <= f.value(x)
+
+    def test_budget_validation(self):
+        f = random_quadratic(4, 0)
+        x = binary_vector([1, 1, -1, -1])
+        with pytest.raises(DomainError):
+            neighborhood_search(x, f, UNCONSTRAINED, m=1, budget=0)
+        with pytest.raises(DomainError):
+            SolverConfig(neighborhood_budget=0)
+
+
+class TestEvaluationFallback:
+    """An Objective with value only scores candidates like the fast fields."""
+
+    N = 30
+
+    @pytest.fixture
+    def pair(self):
+        fast = random_quadratic(self.N, 8)
+        bare = Objective(dimension=self.N, value=fast.value,
+                         gradient=fast.gradient, lipschitz=fast.lipschitz)
+        return fast, bare
+
+    def test_values_and_deltas_match_fast_fields(self, pair, rng):
+        fast, bare = pair
+        X = np.where(rng.random((40, self.N)) < 0.5, 1.0, -1.0)
+        assert np.allclose(bare.values(X), fast.value_batch(X))
+        for j in (1, 3):
+            flips = np.stack([rng.permutation(self.N)[:j] for _ in range(25)])
+            assert np.allclose(bare.deltas(X[0], flips), fast.flips_delta(X[0], flips))
+
+    @pytest.mark.parametrize("m,sampled", [(2, False), (5, True)])
+    @pytest.mark.parametrize("c", [UNCONSTRAINED, exact_ones(12)], ids=["cube", "slice"])
+    def test_neighborhood_search_agrees(self, pair, c, m, sampled):
+        fast, bare = pair
+        x = random_feasible(self.N, c, seed=3)
+        assert (neighborhood_size(x, c, m) > NEIGHBORHOOD_CAP) == sampled
+        a = neighborhood_search(x, fast, c, m, budget=2000, seed=11)
+        b = neighborhood_search(x, bare, c, m, budget=2000, seed=11)
+        assert not np.array_equal(a, x)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("c", [UNCONSTRAINED, exact_ones(12)], ids=["cube", "slice"])
+    def test_random_search_agrees(self, pair, c):
+        fast, bare = pair
+        a = random_search(fast, c, 500, seed=4)
+        b = random_search(bare, c, 500, seed=4)
+        assert np.array_equal(a.optimum, b.optimum)
+        assert a.optimal_value == pytest.approx(b.optimal_value)
 
 
 class TestSolveLoop:
