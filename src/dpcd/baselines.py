@@ -12,6 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    BLOCK_ENTRIES,
     BinaryVector,
     ConstraintSpec,
     DomainError,
@@ -152,11 +153,14 @@ def random_search(f: Objective, c: ConstraintSpec, samples: int, seed=0) -> Orac
         raise DomainError("samples must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n = f.dimension
+    # successive blocks continue one rng stream, so the first strict
+    # minimum does not depend on the block size
+    block = max(1, min(_CHUNK, BLOCK_ENTRIES // n))
     best_x = None
     best = math.inf
     remaining = samples
     while remaining > 0:
-        m = min(remaining, _CHUNK // 4 if n > 256 else _CHUNK)
+        m = min(remaining, block)
         remaining -= m
         if c.is_exact_ones:
             X = -np.ones((m, n))
@@ -179,20 +183,28 @@ def greedy_peel(graph, k: int) -> BinaryVector:
     """Drop the weakest vertex (minimum weighted degree inside the current
     subgraph) until k remain. On degree ties the highest id is dropped, so
     lower ids are the preferred survivors. Returns the survivor indicator
-    as a sign vector."""
+    as a sign vector.
+
+    Each drop costs one vectorised argmin over n degrees plus an update
+    over the dropped vertex's adjacency row.
+    """
     n = graph.n
     if not (1 <= k <= n):
         raise DomainError(f"k={k} outside [1, {n}]")
-    W = graph.matrix().tocsc()
-    active = np.ones(n, dtype=bool)
-    deg = graph.degrees().copy()
+    W = graph.matrix()
+    # Degrees in reversed id order: argmin returns the first minimum, which
+    # is then the highest id among equal degrees. Dropped vertices hold +inf.
+    rdeg = graph.degrees()[::-1].copy()
+    last = n - 1
+    kept = np.ones(n, dtype=bool)
     for _ in range(n - k):
-        ids = np.nonzero(active)[0]
-        weakest = ids[deg[ids] == deg[ids].min()]
-        drop = int(weakest[-1])
-        active[drop] = False
-        col = np.asarray(W[:, drop].todense()).ravel()
-        deg -= col
-    x = np.where(active, 1.0, -1.0)
+        drop = last - int(np.argmin(rdeg))
+        kept[drop] = False
+        rdeg[last - drop] = np.inf
+        lo, hi = W.indptr[drop], W.indptr[drop + 1]
+        # the fancy-indexed -= subtracts once per index; the cached CSR
+        # adjacency is canonical, so each neighbour appears once per row
+        rdeg[last - W.indices[lo:hi]] -= W.data[lo:hi]
+    x = np.where(kept, 1.0, -1.0)
     x.flags.writeable = False
     return x

@@ -15,6 +15,10 @@ import numpy as np
 
 BinaryVector = np.ndarray
 
+# entries in one scratch block of a batched loop (random-search samples,
+# retrieval distances), so memory does not grow with the number of rows
+BLOCK_ENTRIES = 1 << 22
+
 
 class DomainError(ValueError):
     """Argument outside the documented domain."""

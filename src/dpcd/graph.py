@@ -1,6 +1,6 @@
 """Graph loading, generation, and the subgraph density metric.
 
-Graphs are undirected with strictly positive edge weights and no self
+Graphs are undirected with strictly positive, finite edge weights and no self
 loops. Storage keeps each edge once as (u, v, w) with u < v; the symmetric
 sparse matrix is materialized on demand and cached.
 """
@@ -34,8 +34,8 @@ class SparseGraph:
             raise DomainError("edge arrays must have equal length")
         if len(u) and (u >= v).any():
             raise DomainError("edges must be stored with u < v")
-        if len(u) and (w <= 0).any():
-            raise DomainError("edge weights must be positive")
+        if len(u) and not (np.isfinite(w) & (w > 0)).all():
+            raise DomainError("edge weights must be positive and finite")
         if n < 0 or (len(u) and int(v.max()) >= n):
             raise DomainError("node id beyond declared node count")
         self.n = int(n)

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    BLOCK_ENTRIES,
     DimensionError,
     DomainError,
     NumericError,
@@ -169,39 +170,48 @@ def evaluate_retrieval(query_codes, db_codes, query_labels, db_labels,
     D = np.asarray(db_codes, dtype=float)
     if Q.ndim != 2 or D.ndim != 2 or Q.shape[1] != D.shape[1]:
         raise DimensionError("query and database codes must share the code length")
+    nq, r = Q.shape
     nd = D.shape[0]
     if not (1 <= k <= nd):
         raise DomainError(f"cutoff k={k} outside [1, {nd}]")
-    rel = _relevance_matrix(query_labels, db_labels, Q.shape[0], nd)
-    r = Q.shape[1]
-    # Hamming distance from sign agreement: d = (r - <q, d>) / 2
-    dist = (r - Q @ D.T) / 2.0
+    relevance = _relevance(query_labels, db_labels, nq, nd)
+    # queries are scored in row blocks, so memory stays linear in the
+    # database size
+    block = max(1, BLOCK_ENTRIES // nd)
     ap_sum = 0.0
     hits_at_k = 0.0
-    for qi in range(Q.shape[0]):
-        order = np.argsort(dist[qi], kind="stable")
-        flags = rel[qi, order]
-        total = int(flags.sum())
-        if total:
-            positions = np.nonzero(flags)[0]
-            precisions = np.arange(1, total + 1) / (positions + 1.0)
-            ap_sum += float(precisions.mean())
-        hits_at_k += float(flags[:k].sum()) / k
-    nq = Q.shape[0]
+    for start in range(0, nq, block):
+        rows = slice(start, min(start + block, nq))
+        # Hamming distance from sign agreement: d = (r - <q, d>) / 2
+        dist = (r - Q[rows] @ D.T) / 2.0
+        rel = relevance(rows)
+        for qi in range(dist.shape[0]):
+            order = np.argsort(dist[qi], kind="stable")
+            flags = rel[qi, order]
+            total = int(flags.sum())
+            if total:
+                positions = np.nonzero(flags)[0]
+                precisions = np.arange(1, total + 1) / (positions + 1.0)
+                ap_sum += float(precisions.mean())
+            hits_at_k += float(flags[:k].sum()) / k
     return RetrievalScore(map=ap_sum / nq, precision_at_k=hits_at_k / nq, k=k)
 
 
-def _relevance_matrix(query_labels, db_labels, nq: int, nd: int) -> np.ndarray:
+def _relevance(query_labels, db_labels, nq: int, nd: int):
+    # validates the label shapes once; returns a function mapping a slice
+    # of query rows to its (rows, nd) boolean relevance block
     ql = np.asarray(query_labels)
     dl = np.asarray(db_labels)
     if ql.ndim == 1 and dl.ndim == 1:
         if len(ql) != nq or len(dl) != nd:
             raise DimensionError("label counts do not match code counts")
-        return ql[:, None] == dl[None, :]
+        return lambda rows: ql[rows, None] == dl[None, :]
     if ql.ndim == 2 and dl.ndim == 2 and ql.shape[1] == dl.shape[1]:
         if ql.shape[0] != nq or dl.shape[0] != nd:
             raise DimensionError("label counts do not match code counts")
-        return (ql.astype(float) @ dl.astype(float).T) > 0
+        ql = ql.astype(float)
+        dl_t = dl.astype(float).T
+        return lambda rows: (ql[rows] @ dl_t) > 0
     raise DimensionError("labels must both be id vectors or both label matrices")
 
 
@@ -240,19 +250,21 @@ def load_matrix_csv(path) -> np.ndarray:
     """Comma-separated numeric rows; a single leading header line is
     tolerated and skipped."""
     with open(path, "r") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+        # blank lines are skipped but keep their place in the numbering
+        lines = [(i, line.strip()) for i, line in enumerate(fh, start=1)
+                 if line.strip()]
     if not lines:
         raise ParseError("empty matrix file")
     start = 0
     try:
-        [float(tok) for tok in lines[0].split(",")]
+        [float(tok) for tok in lines[0][1].split(",")]
     except ValueError:
         start = 1
         if len(lines) == 1:
             raise ParseError("matrix file holds only a header")
     rows = []
     width = None
-    for i, line in enumerate(lines[start:], start=start + 1):
+    for i, line in lines[start:]:
         try:
             row = [float(tok) for tok in line.split(",")]
         except ValueError:

@@ -1,14 +1,56 @@
 """Reference solvers: signed-gradient descent, exhaustive search, peeling."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dpcd import (DomainError, SolverConfig, SparseGraph, UNCONSTRAINED,
                   UnsupportedConstraintError, binary_vector, dpcd_solve,
-                  exact_ones, exhaustive_oracle, greedy_peel, make_quadratic,
-                  make_shifted_separable, planted_partition, random_search,
-                  sgm_solve)
+                  exact_ones, exhaustive_oracle, greedy_peel,
+                  make_dense_subgraph, make_quadratic, make_shifted_separable,
+                  planted_partition, random_search, sgm_solve)
 
 from conftest import random_quadratic
+
+
+def reference_peel(graph, k):
+    """Column-densifying peel: rescan the active ids for the minimum degree,
+    drop the highest id among them, subtract its dense adjacency column."""
+    n = graph.n
+    W = graph.matrix().tocsc()
+    active = np.ones(n, dtype=bool)
+    deg = graph.degrees().copy()
+    for _ in range(n - k):
+        ids = np.nonzero(active)[0]
+        weakest = ids[deg[ids] == deg[ids].min()]
+        drop = int(weakest[-1])
+        active[drop] = False
+        deg -= np.asarray(W[:, drop].todense()).ravel()
+    return np.where(active, 1.0, -1.0)
+
+
+def single_block_search(f, c, samples, seed):
+    """random_search with every sample drawn into one (samples, n) array."""
+    rng = np.random.default_rng(seed)
+    n = f.dimension
+    if c.is_exact_ones:
+        X = -np.ones((samples, n))
+        order = np.argpartition(rng.random((samples, n)), c.r - 1, axis=1)[:, :c.r]
+        X[np.arange(samples)[:, None], order] = 1.0
+    else:
+        X = rng.integers(0, 2, size=(samples, n)) * 2.0 - 1.0
+    vals = f.values(X)
+    i = int(np.argmin(vals))
+    return X[i], float(vals[i])
+
+
+def random_graph(n, edges, weights, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, n, edges)
+    b = rng.integers(0, n, edges)
+    keep = a != b
+    key = np.unique(np.minimum(a, b)[keep] * n + np.maximum(a, b)[keep])
+    return SparseGraph(n, key // n, key % n, rng.choice(weights, len(key)))
 
 
 class TestSgm:
@@ -128,6 +170,16 @@ class TestGreedyPeel:
         x = greedy_peel(g, 3)
         assert np.nonzero(x > 0)[0].tolist() == [1, 2, 3]
 
+    def test_matches_reference_peel(self, rng):
+        # non-dyadic, repeated weights: many degree ties, and float
+        # subtraction order decides which degrees stay equal
+        for trial in range(60):
+            n = int(rng.integers(2, 60))
+            weights = [1.0] if trial % 5 == 0 else [0.1, 0.2, 0.3, 0.7]
+            g = random_graph(n, int(rng.integers(0, 3 * n)), weights, trial)
+            for k in sorted({1, max(1, n // 3), n - 1, n}):
+                assert np.array_equal(greedy_peel(g, k), reference_peel(g, k)), (trial, k)
+
 
 class TestRandomSearch:
     def test_single_sample(self):
@@ -159,3 +211,28 @@ class TestRandomSearch:
         f = random_quadratic(4, 0)
         with pytest.raises(DomainError):
             random_search(f, UNCONSTRAINED, samples=0, seed=0)
+
+    def test_blocks_match_single_block(self):
+        # n=5000 takes 838 samples per block, so 1000 samples span two
+        n = 5000
+        slice_f, slice_c = make_dense_subgraph(
+            random_graph(n, 4 * n, [0.1, 0.3, 0.7], 1), 40)
+        cube_f = make_shifted_separable(np.random.default_rng(2).uniform(0.1, 0.9, n))
+        for f, c in ((slice_f, slice_c), (cube_f, UNCONSTRAINED)):
+            res = random_search(f, c, samples=1000, seed=5)
+            x, value = single_block_search(f, c, 1000, 5)
+            assert res.optimal_value == value
+            assert np.array_equal(res.optimum, x)
+
+    def test_peak_memory_follows_block_not_samples(self):
+        n, samples = 5000, 4000
+        f = make_shifted_separable(np.random.default_rng(3).uniform(0.1, 0.9, n))
+        tracemalloc.start()
+        try:
+            random_search(f, UNCONSTRAINED, samples=samples, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few float64 arrays of about 4M entries each, while one
+        # (samples, n) array alone would be 160 MB
+        assert peak < 4 * (1 << 22) * 8 < samples * n * 8

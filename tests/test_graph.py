@@ -25,6 +25,9 @@ class TestSparseGraph:
             SparseGraph(3, [1], [0], [1.0])  # u >= v
         with pytest.raises(DomainError):
             SparseGraph(3, [0], [1], [-1.0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError, match="finite"):
+                SparseGraph(3, [0], [1], [bad])
         with pytest.raises(DomainError):
             SparseGraph(2, [0], [2], [1.0])  # id beyond n
 

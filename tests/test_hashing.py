@@ -170,6 +170,20 @@ class TestAlternatingHash:
             hashing_loss(model.B, model.W, Y, 2.0))
 
 
+def whole_matrix_retrieval(Q, D, rel, k):
+    """Retrieval scores from the full (queries, database) distance matrix."""
+    dist = (Q.shape[1] - Q @ D.T) / 2.0
+    ap_sum = hits = 0.0
+    for qi in range(Q.shape[0]):
+        flags = rel[qi, np.argsort(dist[qi], kind="stable")]
+        total = int(flags.sum())
+        if total:
+            positions = np.nonzero(flags)[0]
+            ap_sum += float((np.arange(1, total + 1) / (positions + 1.0)).mean())
+        hits += float(flags[:k].sum()) / k
+    return ap_sum / Q.shape[0], hits / Q.shape[0]
+
+
 class TestEvaluateRetrieval:
     def test_all_relevant(self):
         q = np.array([[1.0, 1.0]])
@@ -249,6 +263,19 @@ class TestEvaluateRetrieval:
         assert again.map == pytest.approx(base.map)
         assert again.precision_at_k == pytest.approx(base.precision_at_k)
 
+    def test_query_blocks_match_whole_matrix(self, rng):
+        # 50000 database rows put 83 queries in a block: 100 queries span two
+        q = signs(rng.standard_normal((100, 6)))
+        db = signs(rng.standard_normal((50000, 6)))
+        ql = rng.integers(0, 4, 100)
+        dl = rng.integers(0, 4, 50000)
+        score = evaluate_retrieval(q, db, ql, dl, k=50)
+        want = whole_matrix_retrieval(q, db, ql[:, None] == dl[None, :], 50)
+        assert (score.map, score.precision_at_k) == want
+        hot_q, hot_d = np.eye(4)[ql], np.eye(4)[dl]
+        score = evaluate_retrieval(q, db, hot_q, hot_d, k=50)
+        assert (score.map, score.precision_at_k) == want
+
 
 class TestMatrixFiles:
     def test_binary_round_trip(self, tmp_path, rng):
@@ -286,6 +313,16 @@ class TestMatrixFiles:
         p = tmp_path / "bad.csv"
         p.write_text("1,2\n3\n")
         with pytest.raises(ParseError, match="line 2"):
+            load_matrix_csv(p)
+
+    @pytest.mark.parametrize("text,line,kind", [
+        ("a,b\n\n1,2\n\n1,x\n", 5, "non-numeric"),
+        ("1,2\n\n3,4,5\n", 3, "expected 2 columns"),
+    ], ids=["field", "width"])
+    def test_csv_error_counts_blank_lines(self, tmp_path, text, line, kind):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=f"^line {line}: {kind}"):
             load_matrix_csv(p)
 
     def test_csv_only_header(self, tmp_path):
