@@ -165,9 +165,11 @@ def random_search(f: Objective, c: ConstraintSpec, samples: int, seed=0) -> Orac
         if c.is_exact_ones:
             X = -np.ones((m, n))
             keys = rng.random((m, n))
-            order = np.argpartition(keys, c.r - 1, axis=1)[:, :c.r] if c.r else None
             if c.r:
-                X[np.arange(m)[:, None], order] = 1.0
+                # the full (m, n) argpartition result dies with this statement
+                X[np.arange(m)[:, None],
+                  np.argpartition(keys, c.r - 1, axis=1)[:, :c.r]] = 1.0
+            del keys
         else:
             X = rng.integers(0, 2, size=(m, n)) * 2.0 - 1.0
         vals = f.values(X)

@@ -256,14 +256,12 @@ def cmd_quad(args) -> int:
     cfg = _config_from(args)
     if args.problem is not None:
         objective, constraint = _quad_from_file(args.problem)
-        if args.constraint_r is not None:
-            constraint = exact_ones(args.constraint_r)
     else:
         if args.n is None:
             raise DomainError("pass --problem FILE or --n for a generated instance")
-        objective = _random_quad(args.n, args.seed)
-        constraint = (exact_ones(args.constraint_r)
-                      if args.constraint_r is not None else UNCONSTRAINED)
+        objective, constraint = _random_quad(args.n, args.seed), UNCONSTRAINED
+    if args.constraint_r is not None:
+        constraint = exact_ones(args.constraint_r)
     report = dpcd_solve(objective, constraint, cfg)
     doc = {
         "command": "quad",
@@ -296,9 +294,9 @@ def cmd_oracle(args) -> int:
     else:
         if args.n is None:
             raise DomainError("pass --problem, or --n (optionally with --separable)")
-        objective = _random_quad(args.n, args.seed)
-        constraint = (exact_ones(args.constraint_r)
-                      if args.constraint_r is not None else UNCONSTRAINED)
+        objective, constraint = _random_quad(args.n, args.seed), UNCONSTRAINED
+    if args.constraint_r is not None:
+        constraint = exact_ones(args.constraint_r)
     truth = exhaustive_oracle(objective, constraint, limit=args.limit)
     report = dpcd_solve(objective, constraint, cfg)
     eps = (cfg.threshold_policy.epsilon

@@ -87,6 +87,7 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
         row_abs = np.abs(A).sum(axis=1)
         total_abs = float(np.abs(A).sum())
         gather = A
+    diag = A.diagonal()
     lipschitz = 2.0 * float(row_abs.max()) if n else 0.0
 
     def value(x):
@@ -103,18 +104,18 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
         return np.einsum("ij,ij->i", X, AX) + X @ c + d
 
     def flips_delta(x, flips):
-        # x' = x - 2*x_F on the flip set F; expanding x'Ax' + c'x' gives
-        # delta = -4*sum_F x_i (Ax)_i - 2*sum_F c_i x_i + 4*sum_{u,v in F} x_u x_v A_uv
+        # x' = x - 2*x_F on the flip set F; expanding x'Ax' + c'x' with A
+        # symmetric gives delta = sum_F s_u + 8*sum_{u<v in F} x_u x_v A_uv,
+        # where s = x*(4*diag(A)*x - 4*Ax - 2c) holds the single-flip deltas
         x = np.asarray(x, dtype=float)
-        g = A @ x
+        s = x * (4.0 * diag * x - 4.0 * (A @ x) - 2.0 * c)
         xf = x[flips]
-        delta = -4.0 * np.einsum("ij,ij->i", xf, g[flips])
-        delta -= 2.0 * np.einsum("ij,ij->i", xf, c[flips])
+        delta = s[flips].sum(axis=1)
         j = flips.shape[1]
         for u in range(j):
-            for v in range(j):
+            for v in range(u + 1, j):
                 avals = np.asarray(gather[flips[:, u], flips[:, v]]).ravel()
-                delta += 4.0 * xf[:, u] * xf[:, v] * avals
+                delta += 8.0 * xf[:, u] * xf[:, v] * avals
         return delta
 
     return Objective(

@@ -229,20 +229,19 @@ def enumerate_neighborhood(x: BinaryVector, c: ConstraintSpec, m: int) -> Iterat
 
 
 def _distinct_rows(rng: np.random.Generator, pool: np.ndarray, j: int, cnt: int) -> np.ndarray:
-    """cnt rows of j distinct draws from pool, uniform per row."""
+    """cnt rows of j distinct draws from pool, each row a uniform j-subset.
+
+    Floyd's algorithm (Bentley & Floyd, CACM 1987), one column per step:
+    column t draws from [0, size - j + t] and takes size - j + t instead
+    when the draw already sits earlier in its row.
+    """
     size = len(pool)
-    if j == 1:
-        return pool[rng.integers(0, size, size=(cnt, 1))]
-    rows = rng.integers(0, size, size=(cnt, j))
-    for _ in range(64):
-        srt = np.sort(rows, axis=1)
-        bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-        if not bad.any():
-            break
-        rows[bad] = rng.integers(0, size, size=(int(bad.sum()), j))
-    else:
-        for i in np.nonzero(bad)[0]:
-            rows[i] = rng.permutation(size)[:j]
+    rows = np.empty((cnt, j), dtype=np.intp)
+    for t in range(j):
+        top = size - j + t
+        draw = rng.integers(0, top + 1, cnt)
+        seen = (rows[:, :t] == draw[:, None]).any(axis=1)
+        rows[:, t] = np.where(seen, top, draw)
     return pool[rows]
 
 

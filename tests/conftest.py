@@ -41,8 +41,9 @@ def interior_points(n, count, seed):
     return rng.uniform(-0.98, 0.98, size=(count, n))
 
 
-def random_quadratic(n, seed, sparse=False, density=0.3):
-    """Symmetric Gaussian quadratic objective, optionally sparse."""
+def random_quadratic(n, seed, sparse=False, density=0.3, diagonal=False):
+    """Symmetric Gaussian quadratic objective, optionally sparse; with
+    diagonal=True every diagonal entry is nonzero, also when sparse."""
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
     A = (A + A.T) / 2.0
@@ -50,6 +51,9 @@ def random_quadratic(n, seed, sparse=False, density=0.3):
         mask = rng.random((n, n)) < density
         mask = np.triu(mask) | np.triu(mask).T
         A = A * mask
+    if diagonal:
+        A[np.diag_indices(n)] = rng.uniform(0.5, 1.5, n) * rng.choice([-1.0, 1.0], n)
+    if sparse:
         import scipy.sparse as sp
         A = sp.csr_array(A)
     c = rng.standard_normal(n)

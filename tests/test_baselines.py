@@ -227,12 +227,14 @@ class TestRandomSearch:
     def test_peak_memory_follows_block_not_samples(self):
         n, samples = 5000, 4000
         f = make_shifted_separable(np.random.default_rng(3).uniform(0.1, 0.9, n))
-        tracemalloc.start()
-        try:
-            random_search(f, UNCONSTRAINED, samples=samples, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # a few float64 arrays of about 4M entries each, while one
-        # (samples, n) array alone would be 160 MB
-        assert peak < 4 * (1 << 22) * 8 < samples * n * 8
+        for c in (UNCONSTRAINED, exact_ones(n // 2)):
+            tracemalloc.start()
+            try:
+                random_search(f, c, samples=samples, seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # about three block-sized arrays of 4M entries each (the slice
+            # holds its sort keys, the sample block and one argpartition
+            # result), while one (samples, n) array alone would be 160 MB
+            assert peak < 3.5 * (1 << 22) * 8 < samples * n * 8, c

@@ -336,6 +336,20 @@ class TestOracle:
         assert doc["evaluations"] == 120  # C(10, 3)
         assert sum(doc["optimum"]) == 2 * 3 - 10
 
+    def test_constraint_override(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(
+            {"A": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+             "c": [0.5, -0.25, 0.1]}))
+        doc = json.loads(run_cli(
+            "oracle", "--problem", path, "--constraint-r", 2).stdout)
+        assert doc["evaluations"] == 3  # C(3, 2), not 2^3
+        assert doc["optimum"] == [-1, 1, 1]
+        doc = json.loads(run_cli(
+            "oracle", "--separable", "--n", 6, "--constraint-r", 4).stdout)
+        assert doc["evaluations"] == 15  # C(6, 4)
+        assert doc["optimum"].count(1) == 4
+
     def test_refuses_large_instance(self):
         proc = run_cli("oracle", "--n", 30)
         assert proc.returncode == 2

@@ -80,12 +80,16 @@ class TestQuadratic:
         (False, 12, 0.3), (True, 12, 0.3), (True, _DENSE_GATHER_LIMIT + 100, 0.005)],
         ids=["False", "True", "sparse-gather"])
     def test_flips_delta_matches_brute_force(self, sparse, n, density, rng):
-        f = random_quadratic(n, 47, sparse=sparse, density=density)
-        x = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-        for j in (1, 2, 4):
-            flips = np.stack([rng.permutation(n)[:j] for _ in range(30)])
-            assert np.allclose(f.flips_delta(x, flips),
-                               brute_flip_delta(f, x, flips), atol=1e-9)
+        # a nonzero diagonal exercises the x_u^2 * A_uu term of the single-
+        # flip deltas; a real x from the box checks the closed form off the
+        # vertices; j = 10 is the width of a radius-5 move on the slice
+        f = random_quadratic(n, 47, sparse=sparse, density=density, diagonal=True)
+        signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        for x in (signs, rng.uniform(-1.0, 1.0, n)):
+            for j in (1, 2, 4, 7, 10):
+                flips = np.stack([rng.permutation(n)[:j] for _ in range(30)])
+                assert np.allclose(f.flips_delta(x, flips),
+                                   brute_flip_delta(f, x, flips), atol=1e-9)
 
     def test_coefficient_mass(self):
         A = np.array([[1.0, -2.0], [-2.0, 5.0]])

@@ -14,6 +14,8 @@ from dpcd import (GRADIENT_AVERAGE, BoundUnavailableError, DomainError,
                   neighborhood_size, principal_sets, random_feasible,
                   random_search, step_bound, unconstrained_flip)
 
+from dpcd.solver import _distinct_rows
+
 from conftest import random_quadratic
 
 
@@ -259,6 +261,34 @@ class TestNeighborhoodSearch:
             neighborhood_search(x, f, UNCONSTRAINED, m=1, budget=0)
         with pytest.raises(DomainError):
             SolverConfig(neighborhood_budget=0)
+
+
+class TestDistinctRows:
+    """The sampled-move draw: uniform j-subsets of a pool, without retries."""
+
+    @pytest.mark.parametrize("size,j", [(9, 1), (5, 5), (6, 5), (40, 5), (2, 1)],
+                             ids=["j=1", "pool=j", "pool=j+1", "wide", "pair"])
+    def test_rows_distinct_and_from_pool(self, size, j):
+        pool = np.arange(size) * 3 + 7
+        rows = _distinct_rows(np.random.default_rng(4), pool, j, 2000)
+        assert rows.shape == (2000, j)
+        assert np.isin(rows, pool).all()
+        assert (np.diff(np.sort(rows, axis=1), axis=1) > 0).all()
+
+    def test_uniform_over_subsets(self):
+        # 20 subsets of a 6-pool, 3000 expected each; binomial sigma ~53
+        rows = _distinct_rows(np.random.default_rng(20261018), np.arange(6), 3, 60000)
+        subsets, counts = np.unique(np.sort(rows, axis=1), axis=0, return_counts=True)
+        assert len(subsets) == 20
+        sigma = np.sqrt(60000 * (1 / 20) * (19 / 20))
+        assert np.all(np.abs(counts - 3000) < 5 * sigma)
+
+    def test_single_draw_stream(self):
+        pool = np.arange(11) + 100
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        rows = _distinct_rows(rng, pool, 1, 500)
+        assert np.array_equal(rows[:, 0], pool[ref.integers(0, 11, 500)])
+        assert rng.random() == ref.random()
 
 
 class TestEvaluationFallback:
