@@ -180,7 +180,7 @@ def binary_vector(values) -> BinaryVector:
 def hamming_distance(y: BinaryVector, z: BinaryVector) -> int:
     if len(y) != len(z):
         raise DimensionError(f"length mismatch: {len(y)} vs {len(z)}")
-    return int(np.sum(np.asarray(y) != np.asarray(z)))
+    return int(np.count_nonzero(np.asarray(y) != np.asarray(z)))
 
 
 def constraint_check(x: BinaryVector, c: ConstraintSpec) -> bool:

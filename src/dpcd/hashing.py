@@ -108,8 +108,10 @@ def alternating_hash(X: np.ndarray, Y: np.ndarray, r: int,
     """Alternate the exact W solve with binary descent on the codes.
 
     Each outer round records the loss after the W half-step and again after
-    the B half-step; both solves only ever lower the shared objective, so
-    the recorded history never increases. The code step runs without a
+    the B half-step. The W solve is exact, and under the Lipschitz
+    threshold policy the B step descends too, so the recorded history never
+    increases. Under average thresholds the B step can raise the loss, and
+    so can the history (ROADMAP item 1). The code step runs without a
     neighborhood search by default, which keeps the per-round cost linear
     in the sample count.
     """
@@ -160,16 +162,19 @@ def evaluate_retrieval(query_codes, db_codes, query_labels, db_labels,
                        k: int) -> RetrievalScore:
     """Hamming-ranking quality of a code table.
 
-    The database is sorted per query by ascending Hamming distance with
-    ties on the lower id. An item is relevant when it shares at least one
-    label with the query. map averages precision over each query's full
-    ranking (queries with no relevant item contribute 0); precision_at_k is
-    the relevant fraction of the first k.
+    Both code tables must be sign matrices (entries -1 or +1). The
+    database is sorted per query by ascending Hamming distance with ties on
+    the lower id. An item is relevant when it shares at least one label
+    with the query. map averages precision over each query's full ranking
+    (queries with no relevant item contribute 0); precision_at_k is the
+    relevant fraction of the first k.
     """
     Q = np.asarray(query_codes, dtype=float)
     D = np.asarray(db_codes, dtype=float)
     if Q.ndim != 2 or D.ndim != 2 or Q.shape[1] != D.shape[1]:
         raise DimensionError("query and database codes must share the code length")
+    if not (np.all(np.abs(Q) == 1.0) and np.all(np.abs(D) == 1.0)):
+        raise DomainError("query and database codes must be sign matrices")
     nq, r = Q.shape
     nd = D.shape[0]
     if not (1 <= k <= nd):
@@ -178,12 +183,15 @@ def evaluate_retrieval(query_codes, db_codes, query_labels, db_labels,
     # queries are scored in row blocks, so memory stays linear in the
     # database size
     block = max(1, BLOCK_ENTRIES // nd)
+    # distances are integers in [0, r]; held in the smallest unsigned type
+    # that fits r, the stable argsort below is a radix sort
+    dist_type = np.min_scalar_type(r)
     ap_sum = 0.0
     hits_at_k = 0.0
     for start in range(0, nq, block):
         rows = slice(start, min(start + block, nq))
         # Hamming distance from sign agreement: d = (r - <q, d>) / 2
-        dist = (r - Q[rows] @ D.T) / 2.0
+        dist = ((r - Q[rows] @ D.T) / 2.0).astype(dist_type)
         rel = relevance(rows)
         for qi in range(dist.shape[0]):
             order = np.argsort(dist[qi], kind="stable")

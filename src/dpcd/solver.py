@@ -128,8 +128,10 @@ def derive_thresholds(gradient, policy: ThresholdPolicy, lipschitz: Optional[flo
             raise DomainError("lipschitz threshold policy needs the objective's L0")
         level = lipschitz + effective_epsilon(policy, lipschitz)
         return level, level
-    pos = g[g > 0]
-    neg = g[g < 0]
+    # np.compress gathers the same entries as g[g > 0], several times
+    # faster at millions of entries
+    pos = np.compress(g > 0, g)
+    neg = np.compress(g < 0, g)
     l1 = float(pos.mean()) if pos.size else None
     l2 = float(-neg.mean()) if neg.size else None
     return l1, l2
@@ -381,7 +383,8 @@ def dpcd_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
                 x_next, f, c, cfg.neighborhood_radius, cfg.neighborhood_budget, rng)
             searched = True
 
-        moved = hamming_distance(x, x_next)
+        # without a search x_next is the principal result already counted
+        moved = hamming_distance(x, x_next) if searched else principal_flips
         flips_per_iteration.append(moved)
         trajectory.append(_checked_value(f, x_next, k))
         x = x_next

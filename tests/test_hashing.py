@@ -207,13 +207,34 @@ class TestEvaluateRetrieval:
         assert score.map == pytest.approx(5.0 / 6.0)
         assert score.precision_at_k == pytest.approx(0.5)
 
-    def test_distance_tie_prefers_lower_id(self):
-        q = np.array([[1.0, 1.0]])
-        db = np.array([[1.0, 1.0], [1.0, 1.0]])
+    @pytest.mark.parametrize("r", [2, 300])
+    def test_distance_tie_prefers_lower_id(self, r):
+        q = np.ones((1, r))
+        db = np.ones((2, r))
         # both at distance 0: id 0 (irrelevant) must rank first
         score = evaluate_retrieval(q, db, [0], [1, 0], k=1)
         assert score.map == pytest.approx(0.5)
         assert score.precision_at_k == 0.0
+
+    def test_distances_beyond_one_byte_keep_their_order(self):
+        # distance 256 must rank after distance 10; a one-byte count would
+        # wrap it to 0 and put the relevant id 0 first
+        q = np.ones((1, 300))
+        db = np.ones((2, 300))
+        db[0, :256] = -1.0
+        db[1, :10] = -1.0
+        score = evaluate_retrieval(q, db, [0], [0, 1], k=1)
+        assert score.map == 0.5
+        assert score.precision_at_k == 0.0
+
+    @pytest.mark.parametrize("bad", [0.5, 0.0, -2.0])
+    def test_rejects_codes_that_are_not_signs(self, bad):
+        codes = np.ones((3, 4))
+        codes[1, 2] = bad
+        with pytest.raises(DomainError):
+            evaluate_retrieval(codes[:1], codes, [0], [0, 1, 0], k=1)
+        with pytest.raises(DomainError):
+            evaluate_retrieval(codes[1:2], np.ones((3, 4)), [0], [0, 1, 0], k=1)
 
     def test_multi_hot_labels(self):
         q = np.array([[1.0, -1.0]])
@@ -263,10 +284,12 @@ class TestEvaluateRetrieval:
         assert again.map == pytest.approx(base.map)
         assert again.precision_at_k == pytest.approx(base.precision_at_k)
 
-    def test_query_blocks_match_whole_matrix(self, rng):
-        # 50000 database rows put 83 queries in a block: 100 queries span two
-        q = signs(rng.standard_normal((100, 6)))
-        db = signs(rng.standard_normal((50000, 6)))
+    @pytest.mark.parametrize("r", [6, 300])
+    def test_query_blocks_match_whole_matrix(self, rng, r):
+        # 50000 database rows put 83 queries in a block: 100 queries span
+        # two; r=6 ranks one-byte distances, r=300 two-byte ones
+        q = signs(rng.standard_normal((100, r)))
+        db = signs(rng.standard_normal((50000, r)))
         ql = rng.integers(0, 4, 100)
         dl = rng.integers(0, 4, 50000)
         score = evaluate_retrieval(q, db, ql, dl, k=50)

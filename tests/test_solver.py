@@ -4,15 +4,16 @@ import itertools
 import numpy as np
 import pytest
 
-from dpcd import (GRADIENT_AVERAGE, BoundUnavailableError, DomainError,
-                  NEIGHBORHOOD_CAP, NumericError, Objective, PrincipalSets,
-                  SolverConfig, ThresholdPolicy, UNCONSTRAINED, balanced_flip,
-                  binary_vector, constraint_check, derive_thresholds,
-                  dpcd_solve, effective_epsilon, enumerate_neighborhood,
-                  exact_ones, exhaustive_oracle, make_quadratic,
-                  make_shifted_separable, neighborhood_search,
-                  neighborhood_size, principal_sets, random_feasible,
-                  random_search, step_bound, unconstrained_flip)
+from dpcd import (GRADIENT_AVERAGE, LIPSCHITZ, BoundUnavailableError,
+                  DomainError, NEIGHBORHOOD_CAP, NumericError, Objective,
+                  PrincipalSets, SolverConfig, ThresholdPolicy, UNCONSTRAINED,
+                  balanced_flip, binary_vector, constraint_check,
+                  derive_thresholds, dpcd_solve, effective_epsilon,
+                  enumerate_neighborhood, exact_ones, exhaustive_oracle,
+                  hamming_distance, make_quadratic, make_shifted_separable,
+                  neighborhood_search, neighborhood_size, principal_sets,
+                  random_feasible, random_search, step_bound,
+                  unconstrained_flip)
 
 from dpcd.solver import _distinct_rows
 
@@ -43,6 +44,21 @@ class TestThresholds:
         assert l2 is None
         l1, l2 = derive_thresholds([0.0, 0.0], ThresholdPolicy(mode=GRADIENT_AVERAGE))
         assert l1 is None and l2 is None
+
+    def test_average_bit_identical_to_masked_means(self):
+        # long enough that pairwise summation splits into blocks, so the
+        # summation order of each side is pinned, not only its value
+        rng = np.random.default_rng(20261018)
+        g = rng.standard_normal(100_000)
+        g[rng.choice(g.size, 500, replace=False)] = 0.0
+        policy = ThresholdPolicy(mode=GRADIENT_AVERAGE)
+        l1, l2 = derive_thresholds(g, policy)
+        assert l1 == float(g[g > 0].mean())
+        assert l2 == float(-g[g < 0].mean())
+        l1, l2 = derive_thresholds(np.abs(g), policy)
+        assert l1 == float(np.abs(g)[g != 0].mean()) and l2 is None
+        l1, l2 = derive_thresholds(-np.abs(g), policy)
+        assert l1 is None and l2 == float(np.abs(g)[g != 0].mean())
 
     def test_lipschitz_requires_l0(self):
         with pytest.raises(DomainError):
@@ -357,6 +373,20 @@ class TestSolveLoop:
             t = rep.value_trajectory
             for k, flips in enumerate(rep.flips_per_iteration):
                 assert t[k] - t[k + 1] >= 2.0 * eps * flips - 1e-12
+
+    @pytest.mark.parametrize("c", [UNCONSTRAINED, exact_ones(16)], ids=["cube", "slice"])
+    @pytest.mark.parametrize("cadence", [0, 3])
+    @pytest.mark.parametrize("mode", [LIPSCHITZ, GRADIENT_AVERAGE])
+    def test_flips_count_hamming_steps(self, c, cadence, mode):
+        f = random_quadratic(40, 11)
+        x0 = random_feasible(40, c, 4)
+        seen = [x0]
+        cfg = SolverConfig(seed=2, max_iterations=30, neighborhood_cadence=cadence,
+                           threshold_policy=ThresholdPolicy(mode=mode))
+        rep = dpcd_solve(f, c, cfg, initial_point=x0, callback=seen.append)
+        assert len(seen) == rep.iterations + 1
+        steps = tuple(hamming_distance(a, b) for a, b in zip(seen, seen[1:]))
+        assert rep.flips_per_iteration == steps
 
     def test_exact_ones_iterates_feasible(self):
         c = exact_ones(7)
