@@ -72,7 +72,6 @@ from .hashing import (
     alternating_hash,
     encode,
     evaluate_retrieval,
-    hashing_loss,
     load_matrix,
     load_matrix_binary,
     load_matrix_csv,

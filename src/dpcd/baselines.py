@@ -21,6 +21,7 @@ from .core import (
     SolverReport,
     UNCONSTRAINED,
     UnsupportedConstraintError,
+    feasible_point,
     hamming_distance,
     random_feasible,
     signs,
@@ -56,9 +57,7 @@ def sgm_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
     if initial_point is None:
         x = random_feasible(f.dimension, c, seed)
     else:
-        x = np.asarray(initial_point, dtype=float)
-        if not np.all(np.abs(x) == 1.0):
-            raise DomainError("initial point must be a sign vector")
+        x = feasible_point(initial_point, f.dimension, c, "initial point")
     trajectory = [float(f.value(x))]
     flips = []
     flags = ()
@@ -151,7 +150,7 @@ def random_search(f: Objective, c: ConstraintSpec, samples: int, seed=0) -> Orac
     sweep is partial."""
     if samples < 1:
         raise DomainError("samples must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     n = f.dimension
     # successive blocks continue one rng stream, so the first strict
     # minimum does not depend on the block size

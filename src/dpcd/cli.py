@@ -16,13 +16,12 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from . import graph as graph_mod
 from . import hashing as hash_mod
-from .baselines import exhaustive_oracle, greedy_peel, random_search, sgm_solve
+from .baselines import exhaustive_oracle, greedy_peel, random_search
 from .core import (
     DomainError,
     NumericError,
@@ -48,31 +47,43 @@ from .solver import (
 _METHODS = ("dpcd", "dpcd0", "greedy", "random", "sgm")
 
 
-def _solver_flags(parser: argparse.ArgumentParser) -> None:
-    g = parser.add_argument_group("solver")
+def _solver_parent() -> argparse.ArgumentParser:
+    # one fresh parent per subcommand: set_defaults on a subcommand writes
+    # into these Action objects, which a shared parent would leak
+    parent = argparse.ArgumentParser(add_help=False)
+    g = parent.add_argument_group("solver")
     g.add_argument("--alpha1", type=float, default=1.0)
     g.add_argument("--alpha2", type=float, default=1.0)
     g.add_argument("--epsilon", type=float, default=None,
                    help="threshold slack; defaults to max(1e-6, 1e-6*L0)")
     g.add_argument("--threshold-mode", choices=["lipschitz", "average"],
                    default="lipschitz")
-    g.add_argument("--max-iters", type=int, default=100)
-    g.add_argument("--nbr-cadence", type=int, default=None,
+    g.add_argument("--max-iters", type=int, default=100,
+                   help="iteration cap (default 100; hash: 20)")
+    g.add_argument("--nbr-cadence", type=int, default=10,
                    help="local search every T iterations (default 10; hash: 0)")
     g.add_argument("--nbr-radius", type=int, default=5)
     g.add_argument("--nbr-budget", type=int, default=10000)
     g.add_argument("--nbr-patience", type=int, default=10)
     g.add_argument("--seed", type=int, default=0)
+    return parent
 
 
-def _config_from(args, default_cadence: int = 10) -> SolverConfig:
+def _output_parent(timings: bool = True) -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--format", choices=["json", "csv"], default="json")
+    if timings:
+        parent.add_argument("--timings", action="store_true")
+    return parent
+
+
+def _config_from(args) -> SolverConfig:
     mode = LIPSCHITZ if args.threshold_mode == "lipschitz" else GRADIENT_AVERAGE
-    cadence = args.nbr_cadence if args.nbr_cadence is not None else default_cadence
     return SolverConfig(
         alpha1=args.alpha1,
         alpha2=args.alpha2,
         max_iterations=args.max_iters,
-        neighborhood_cadence=cadence,
+        neighborhood_cadence=args.nbr_cadence,
         neighborhood_radius=args.nbr_radius,
         neighborhood_budget=args.nbr_budget,
         neighborhood_patience=args.nbr_patience,
@@ -81,22 +92,31 @@ def _config_from(args, default_cadence: int = 10) -> SolverConfig:
     )
 
 
-def _config_doc(cfg: SolverConfig) -> dict:
+def _solve_fields(cfg: SolverConfig, report) -> dict:
+    # the solve summary shared by the subgraph and quad documents
     return {
-        "alpha1": cfg.alpha1,
-        "alpha2": cfg.alpha2,
-        "max_iterations": cfg.max_iterations,
-        "neighborhood_cadence": cfg.neighborhood_cadence,
-        "neighborhood_radius": cfg.neighborhood_radius,
-        "neighborhood_budget": cfg.neighborhood_budget,
-        "neighborhood_patience": cfg.neighborhood_patience,
-        "threshold_mode": cfg.threshold_policy.mode,
-        "epsilon": cfg.threshold_policy.epsilon,
+        "seed": cfg.seed,
+        "config": {
+            "alpha1": cfg.alpha1,
+            "alpha2": cfg.alpha2,
+            "max_iterations": cfg.max_iterations,
+            "neighborhood_cadence": cfg.neighborhood_cadence,
+            "neighborhood_radius": cfg.neighborhood_radius,
+            "neighborhood_budget": cfg.neighborhood_budget,
+            "neighborhood_patience": cfg.neighborhood_patience,
+            "threshold_mode": cfg.threshold_policy.mode,
+            "epsilon": cfg.threshold_policy.epsilon,
+        },
+        "iterations": report.iterations,
+        "total_flips": int(sum(report.flips_per_iteration)),
+        "converged": report.converged,
     }
 
 
-def _emit(doc: dict, fmt: str) -> None:
-    if fmt == "json":
+def _emit(args, doc: dict, wall_time: float = None) -> None:
+    if getattr(args, "timings", False):
+        doc["wall_time"] = wall_time
+    if args.format == "json":
         sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
         return
     # csv: flattened key,value rows in key order
@@ -121,14 +141,8 @@ def _emit(doc: dict, fmt: str) -> None:
 def _load_graph(path: str, fmt: str):
     if fmt == "auto":
         fmt = "matrix-market" if str(path).endswith((".mtx", ".mm")) else "edge-list"
-    if path == "-":
-        data = sys.stdin.buffer.read()
-        return (graph_mod.load_matrix_market(data) if fmt == "matrix-market"
-                else graph_mod.load_edge_list(data))
-    if fmt == "matrix-market":
-        with open(path, "rb") as fh:
-            return graph_mod.load_matrix_market(fh)
-    return graph_mod.load_edge_list(path)
+    load = graph_mod.load_matrix_market if fmt == "matrix-market" else graph_mod.load_edge_list
+    return load(sys.stdin.buffer if path == "-" else path)
 
 
 def cmd_subgraph(args) -> int:
@@ -139,20 +153,15 @@ def cmd_subgraph(args) -> int:
     objective, constraint = make_dense_subgraph(g, args.k)
     report = dpcd_solve(objective, constraint, cfg)
     selection = np.nonzero(np.asarray(report.final_point) > 0)[0]
-    dens = graph_mod.density(g, selection)
     doc = {
         "command": "subgraph",
         "n": g.n,
         "k": args.k,
-        "seed": args.seed,
-        "config": _config_doc(cfg),
-        "density": dens,
+        **_solve_fields(cfg, report),
+        "density": graph_mod.density(g, selection),
         "objective_value": report.final_value - g.total_weight,
         "solver_objective": report.final_value,
         "dropped_constant": -g.total_weight,
-        "iterations": report.iterations,
-        "total_flips": int(sum(report.flips_per_iteration)),
-        "converged": report.converged,
         "selection": [int(i) for i in selection],
     }
     if args.baselines:
@@ -164,36 +173,32 @@ def cmd_subgraph(args) -> int:
             "greedy_density": graph_mod.density(g, peel_sel),
             "random_density": graph_mod.density(g, rnd_sel),
         }
-    if args.timings:
-        doc["wall_time"] = report.wall_time
-    _emit(doc, args.format)
+    _emit(args, doc, report.wall_time)
     return 0
 
 
-def _labels_for_training(raw: np.ndarray) -> np.ndarray:
-    # single-column integer labels become one-hot rows
-    if raw.ndim == 2 and raw.shape[1] > 1:
-        return raw
-    flat = raw.ravel()
-    classes = np.unique(flat)
-    return (flat[:, None] == classes[None, :]).astype(float)
+def _labels(raw: np.ndarray) -> np.ndarray:
+    # a label file with several columns is a label matrix; a single
+    # column is a vector of class ids
+    return raw if raw.ndim == 2 and raw.shape[1] > 1 else raw.ravel()
 
 
 def cmd_hash(args) -> int:
     if args.code_length < 1:
         raise DomainError("code length must be >= 1")
-    cfg = _config_from(args, default_cadence=0)
-    inner = replace(cfg, max_iterations=min(cfg.max_iterations, 20))
+    cfg = _config_from(args)
     X = hash_mod.load_matrix(args.features)
-    raw_labels = hash_mod.load_matrix(args.labels)
-    if X.shape[0] != raw_labels.shape[0]:
+    labels = _labels(hash_mod.load_matrix(args.labels))
+    if X.shape[0] != labels.shape[0]:
         raise DomainError(
-            f"features have {X.shape[0]} rows, labels {raw_labels.shape[0]}")
-    Y = _labels_for_training(raw_labels)
+            f"features have {X.shape[0]} rows, labels {labels.shape[0]}")
+    # class ids train against one-hot rows
+    Y = (labels if labels.ndim == 2
+         else (labels[:, None] == np.unique(labels)[None, :]).astype(float))
     started = time.perf_counter()
     model = hash_mod.alternating_hash(
         X, Y, args.code_length, outer_iterations=args.outer,
-        inner=inner, lam=args.lam, seed=args.seed)
+        inner=cfg, lam=args.lam, seed=args.seed)
     elapsed = time.perf_counter() - started
     doc = {
         "command": "hash",
@@ -211,21 +216,14 @@ def cmd_hash(args) -> int:
         if args.eval_labels is None:
             raise DomainError("--eval needs --eval-labels")
         Xq = hash_mod.load_matrix(args.eval)
-        yq = hash_mod.load_matrix(args.eval_labels)
+        yq = _labels(hash_mod.load_matrix(args.eval_labels))
         if Xq.shape[0] != yq.shape[0]:
             raise DomainError("query features and labels disagree on row count")
-        query_codes = hash_mod.encode(Xq, model.P)
         score = hash_mod.evaluate_retrieval(
-            query_codes, model.B,
-            yq if yq.ndim == 2 and yq.shape[1] > 1 else yq.ravel(),
-            raw_labels if raw_labels.ndim == 2 and raw_labels.shape[1] > 1
-            else raw_labels.ravel(),
-            k=args.topk)
+            hash_mod.encode(Xq, model.P), model.B, yq, labels, k=args.topk)
         doc["eval"] = {"map": score.map, "precision_at_k": score.precision_at_k,
                        "k": score.k}
-    if args.timings:
-        doc["wall_time"] = elapsed
-    _emit(doc, args.format)
+    _emit(args, doc, elapsed)
     return 0
 
 
@@ -245,63 +243,52 @@ def _quad_from_file(path):
     return make_quadratic(A, c, d), (exact_ones(int(r)) if r is not None else UNCONSTRAINED)
 
 
-def _random_quad(n: int, seed: int):
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, n))
-    A = (A + A.T) / 2.0
-    return make_quadratic(A, rng.standard_normal(n), 0.0)
+def _problem(args, missing: str):
+    """(objective, constraint) for quad and oracle: a problem file, the
+    shifted separable diagnostic or a seeded random quadratic, then the
+    --constraint-r override. `missing` is the error when there is no input."""
+    rng = np.random.default_rng(args.seed)
+    constraint = UNCONSTRAINED
+    if args.problem is not None:
+        objective, constraint = _quad_from_file(args.problem)
+    elif getattr(args, "separable", False):
+        if args.n is None:
+            raise DomainError("--separable needs --n")
+        objective = make_shifted_separable(rng.uniform(0.05, 0.95, size=args.n))
+    elif args.n is None:
+        raise DomainError(missing)
+    else:
+        A = rng.standard_normal((args.n, args.n))
+        objective = make_quadratic((A + A.T) / 2.0, rng.standard_normal(args.n), 0.0)
+    if args.constraint_r is not None:
+        constraint = exact_ones(args.constraint_r)
+    return objective, constraint
 
 
 def cmd_quad(args) -> int:
     cfg = _config_from(args)
-    if args.problem is not None:
-        objective, constraint = _quad_from_file(args.problem)
-    else:
-        if args.n is None:
-            raise DomainError("pass --problem FILE or --n for a generated instance")
-        objective, constraint = _random_quad(args.n, args.seed), UNCONSTRAINED
-    if args.constraint_r is not None:
-        constraint = exact_ones(args.constraint_r)
+    objective, constraint = _problem(
+        args, "pass --problem FILE or --n for a generated instance")
     report = dpcd_solve(objective, constraint, cfg)
     doc = {
         "command": "quad",
         "n": objective.dimension,
         "constraint_r": constraint.r if constraint.is_exact_ones else None,
-        "seed": args.seed,
-        "config": _config_doc(cfg),
+        **_solve_fields(cfg, report),
         "final_value": report.final_value,
         "final_point": [int(v) for v in report.final_point],
-        "iterations": report.iterations,
-        "total_flips": int(sum(report.flips_per_iteration)),
-        "converged": report.converged,
     }
-    if args.timings:
-        doc["wall_time"] = report.wall_time
-    _emit(doc, args.format)
+    _emit(args, doc, report.wall_time)
     return 0
 
 
 def cmd_oracle(args) -> int:
     cfg = _config_from(args)
-    if args.problem is not None:
-        objective, constraint = _quad_from_file(args.problem)
-    elif args.separable:
-        if args.n is None:
-            raise DomainError("--separable needs --n")
-        rng = np.random.default_rng(args.seed)
-        objective = make_shifted_separable(rng.uniform(0.05, 0.95, size=args.n))
-        constraint = UNCONSTRAINED
-    else:
-        if args.n is None:
-            raise DomainError("pass --problem, or --n (optionally with --separable)")
-        objective, constraint = _random_quad(args.n, args.seed), UNCONSTRAINED
-    if args.constraint_r is not None:
-        constraint = exact_ones(args.constraint_r)
+    objective, constraint = _problem(
+        args, "pass --problem, or --n (optionally with --separable)")
     truth = exhaustive_oracle(objective, constraint, limit=args.limit)
     report = dpcd_solve(objective, constraint, cfg)
-    eps = (cfg.threshold_policy.epsilon
-           if cfg.threshold_policy.epsilon is not None
-           else effective_epsilon(cfg.threshold_policy, objective.lipschitz or 0.0))
+    eps = effective_epsilon(cfg.threshold_policy, objective.lipschitz or 0.0)
     bound = step_bound(objective, constraint, eps, (truth.f_min, truth.f_max))
     doc = {
         "command": "oracle",
@@ -320,7 +307,7 @@ def cmd_oracle(args) -> int:
     }
     if objective.coeff_abs_sum is not None:
         doc["coefficient_bound"] = objective.coeff_abs_sum / eps
-    _emit(doc, args.format)
+    _emit(args, doc)
     return 0
 
 
@@ -338,13 +325,11 @@ def _bench_subgraph(args, writer) -> None:
         rows = []
         for method in args.methods:
             t0 = time.perf_counter()
-            if method == "dpcd":
-                rep = dpcd_solve(objective, constraint, SolverConfig(seed=solver_seed))
-                value = rep.final_value - g.total_weight
-            elif method == "dpcd0":
-                rep = dpcd_solve(objective, constraint,
-                                 SolverConfig(seed=solver_seed, neighborhood_cadence=0))
-                value = rep.final_value - g.total_weight
+            if method in ("dpcd", "dpcd0"):
+                # dpcd0 is the same solve with the local search switched off
+                cfg = SolverConfig(seed=solver_seed,
+                                   neighborhood_cadence=0 if method == "dpcd0" else 10)
+                value = dpcd_solve(objective, constraint, cfg).final_value - g.total_weight
             elif method == "greedy":
                 sel = greedy_peel(g, args.k)
                 value = objective.value(sel) - g.total_weight
@@ -399,18 +384,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="binary optimization by principal coordinate descent")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("subgraph", help="densest-k-subgraph on a graph file")
+    def solve_command(name, text, timings=True):
+        return sub.add_parser(name, help=text, parents=[
+            _output_parent(timings), _solver_parent()])
+
+    p = solve_command("subgraph", "densest-k-subgraph on a graph file")
     p.add_argument("graph", help="edge list or MatrixMarket path, '-' for stdin")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--graph-format", choices=["auto", "edge-list", "matrix-market"],
                    default="auto")
     p.add_argument("--baselines", action="store_true")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--timings", action="store_true")
-    _solver_flags(p)
     p.set_defaults(func=cmd_subgraph)
 
-    p = sub.add_parser("hash", help="learn binary codes and optionally score retrieval")
+    p = solve_command("hash", "learn binary codes and optionally score retrieval")
     p.add_argument("features")
     p.add_argument("labels")
     p.add_argument("--code-length", type=int, required=True)
@@ -419,29 +405,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval", default=None, help="query feature file")
     p.add_argument("--eval-labels", default=None)
     p.add_argument("--topk", type=int, default=50)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--timings", action="store_true")
-    _solver_flags(p)
-    p.set_defaults(func=cmd_hash)
+    p.set_defaults(func=cmd_hash, nbr_cadence=0, max_iters=20)
 
-    p = sub.add_parser("quad", help="solve a quadratic problem file or a seeded instance")
+    p = solve_command("quad", "solve a quadratic problem file or a seeded instance")
     p.add_argument("--problem", default=None, help="JSON file with A, c, optional d, r")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--constraint-r", type=int, default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--timings", action="store_true")
-    _solver_flags(p)
     p.set_defaults(func=cmd_quad)
 
-    p = sub.add_parser("oracle", help="exhaustive ground truth and bound verdict")
+    p = solve_command("oracle", "exhaustive ground truth and bound verdict", timings=False)
     p.add_argument("--problem", default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--separable", action="store_true",
                    help="use the shifted separable diagnostic instead of a quadratic")
     p.add_argument("--constraint-r", type=int, default=None)
     p.add_argument("--limit", type=int, default=20)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    _solver_flags(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("bench", help="run a method grid, emit CSV")

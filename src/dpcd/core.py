@@ -192,6 +192,20 @@ def constraint_check(x: BinaryVector, c: ConstraintSpec) -> bool:
     return int(np.sum(np.asarray(x) > 0)) == c.r
 
 
+def feasible_point(x, n: int, c: ConstraintSpec, what: str = "point") -> np.ndarray:
+    """x as a float64 array, not copied when it already is one, after
+    checking that it is a feasible sign vector of length n; `what` names
+    it in the error messages."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise DimensionError(f"{what} length does not match the objective")
+    if not np.all(np.abs(x) == 1.0):
+        raise DomainError(f"{what} must be a sign vector")
+    if not constraint_check(x, c):
+        raise DomainError(f"{what} violates the constraint")
+    return x
+
+
 def random_feasible(n: int, c: ConstraintSpec, seed) -> BinaryVector:
     """Uniform feasible point; deterministic given the seed.
 
@@ -200,7 +214,7 @@ def random_feasible(n: int, c: ConstraintSpec, seed) -> BinaryVector:
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     if c.is_exact_ones:
         if c.r > n:
             raise DomainError(f"exact-ones r={c.r} infeasible for n={n}")

@@ -65,14 +65,18 @@ class SparseGraph:
         return np.asarray(self.matrix().sum(axis=1)).ravel()
 
 
-def _as_text_lines(source):
+def _read_all(source):
+    # a loader's source is a path, a readable stream or the file's contents
     if hasattr(source, "read"):
-        data = source.read()
-    elif isinstance(source, (bytes, bytearray)):
-        data = source
-    else:
-        with open(source, "rb") as fh:
-            data = fh.read()
+        return source.read()
+    if isinstance(source, (bytes, bytearray)):
+        return source
+    with open(source, "rb") as fh:
+        return fh.read()
+
+
+def _as_text_lines(source):
+    data = _read_all(source)
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     return data.splitlines()
@@ -166,15 +170,11 @@ def save_edge_list(graph: SparseGraph, sink) -> None:
 def load_matrix_market(source) -> SparseGraph:
     """MatrixMarket coordinate input; general matrices are symmetrized by
     averaging the two triangles, symmetric ones load as stored."""
-    if hasattr(source, "read") or isinstance(source, (bytes, bytearray)):
-        data = source.read() if hasattr(source, "read") else bytes(source)
-        if isinstance(data, str):
-            data = data.encode("utf-8")
-        stream = io.BytesIO(data)
-    else:
-        stream = source
+    data = _read_all(source)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     try:
-        M = mmread(stream)
+        M = mmread(io.BytesIO(data))
     except Exception as e:
         raise ParseError(f"matrix market parse failure: {e}") from e
     M = sp.coo_matrix(M)
@@ -216,7 +216,7 @@ def planted_partition(n: int, k: int, p_in: float, p_out: float, seed):
         raise DomainError("need 0 <= p_out < p_in <= 1")
     if not (1 <= k <= n):
         raise DomainError(f"block size k={k} outside [1, {n}]")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     block = np.sort(rng.permutation(n)[:k])
     in_block = np.zeros(n, dtype=bool)
     in_block[block] = True

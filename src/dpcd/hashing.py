@@ -96,11 +96,6 @@ def encode(X: np.ndarray, P: np.ndarray) -> np.ndarray:
     return signs(X @ P)
 
 
-def hashing_loss(B, W, Y, lam: float) -> float:
-    R = Y - B @ W
-    return float(0.5 * np.sum(R * R) + 0.5 * lam * np.sum(W * W))
-
-
 def alternating_hash(X: np.ndarray, Y: np.ndarray, r: int,
                      outer_iterations: int = 5, inner: Optional[SolverConfig] = None,
                      lam: float = 1.0, seed: int = 0,
@@ -141,12 +136,12 @@ def alternating_hash(X: np.ndarray, Y: np.ndarray, r: int,
     completed = 0
     for t in range(outer_iterations):
         W = solve_w(B, Y, lam)
-        history.append(hashing_loss(B, W, Y, lam))
         objective = make_hashing_objective(problem, W)
         step_cfg = replace(inner, seed=int(rng.integers(0, 2**31 - 1)))
         report = dpcd_solve(objective, UNCONSTRAINED, step_cfg,
                             initial_point=B.ravel())
-        history.append(report.final_value)
+        # the loss after the W half-step is the code step's starting value
+        history.extend((report.value_trajectory[0], report.final_value))
         B_next = np.asarray(report.final_point).reshape(n, r)
         completed = t + 1
         if np.array_equal(B_next, B):

@@ -29,7 +29,7 @@ from .core import (
     Objective,
     SolverReport,
     UNCONSTRAINED,
-    constraint_check,
+    feasible_point,
     hamming_distance,
     random_feasible,
 )
@@ -303,10 +303,8 @@ def neighborhood_search(x: BinaryVector, f: Objective, c: ConstraintSpec,
         raise DomainError("neighborhood radius must be >= 1")
     if budget < 1:
         raise DomainError("neighborhood budget must be >= 1")
-    if not constraint_check(x, c):
-        raise DomainError("neighborhood_search called with an infeasible point")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    y, _ = _explore_neighborhood(x, f, c, m, budget, rng)
+    x = feasible_point(x, f.dimension, c)
+    y, _ = _explore_neighborhood(x, f, c, m, budget, np.random.default_rng(seed))
     return y
 
 
@@ -352,13 +350,7 @@ def dpcd_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
     if initial_point is None:
         x = random_feasible(f.dimension, c, rng)
     else:
-        x = np.asarray(initial_point, dtype=float)
-        if len(x) != f.dimension:
-            raise DimensionError("initial point length does not match the objective")
-        if not np.all(np.abs(x) == 1.0):
-            raise DomainError("initial point must be a sign vector")
-        if not constraint_check(x, c):
-            raise DomainError("initial point violates the constraint")
+        x = feasible_point(initial_point, f.dimension, c, "initial point")
 
     trajectory = [_checked_value(f, x, 0)]
     flips_per_iteration = []

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dpcd import (DomainError, SolverConfig, SparseGraph, UNCONSTRAINED,
+from dpcd import (DimensionError, DomainError, SolverConfig, SparseGraph, UNCONSTRAINED,
                   UnsupportedConstraintError, binary_vector, dpcd_solve,
                   exact_ones, exhaustive_oracle, greedy_peel,
                   make_dense_subgraph, make_quadratic, make_shifted_separable,
@@ -92,6 +92,15 @@ class TestSgm:
         f = random_quadratic(6, 1)
         with pytest.raises(UnsupportedConstraintError):
             sgm_solve(f, exact_ones(3))
+
+    @pytest.mark.parametrize("x0,error", [
+        (np.ones(5), DimensionError),
+        (np.array([1.0, -1.0, 0.5, 1.0, 1.0, -1.0]), DomainError),
+    ])
+    def test_initial_point_checked(self, x0, error):
+        # a short start point used to fail inside numpy, not as DimensionError
+        with pytest.raises(error):
+            sgm_solve(random_quadratic(6, 1), initial_point=x0)
 
 
 class TestExhaustiveOracle:

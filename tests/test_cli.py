@@ -13,7 +13,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from dpcd import save_matrix_binary
+from dpcd import cli, hashing, save_matrix_binary
 
 SCHEMA = json.loads(resources.files("dpcd").joinpath("schema.json").read_text())
 
@@ -117,6 +117,14 @@ class TestSubgraph:
                        stdin_bytes=TRIANGLE.encode())
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["density"] == pytest.approx(2.0)
+
+    def test_stdin_matrix_market(self):
+        proc = run_cli("subgraph", "-", "--k", 3, "--graph-format", "matrix-market",
+                       stdin_bytes=TRIANGLE_MM.encode())
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["density"] == pytest.approx(2.0)
+        assert doc["selection"] == [0, 1, 2]
 
     def test_matrix_market_file(self, tmp_path):
         path = tmp_path / "triangle.mtx"
@@ -228,6 +236,24 @@ class TestHash:
         proc = run_cli("hash", feat, lab, "--code-length", 0)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("flags,cap", [((), 20), (("--max-iters", "30"), 30)])
+    def test_max_iters_reaches_code_step(self, hash_files, monkeypatch, capsys,
+                                         flags, cap):
+        feat, lab, _, _ = hash_files
+        seen = []
+        real = hashing.alternating_hash
+
+        def spy(*args, inner, **kwargs):
+            seen.append(inner)
+            return real(*args, inner=inner, **kwargs)
+
+        monkeypatch.setattr(hashing, "alternating_hash", spy)
+        assert cli.main(["hash", str(feat), str(lab), "--code-length", "4",
+                         "--outer", "1", *flags]) == 0
+        capsys.readouterr()
+        assert [cfg.max_iterations for cfg in seen] == [cap]
+        assert seen[0].neighborhood_cadence == 0
+
     def test_deterministic_output(self, hash_files):
         feat, lab, _, _ = hash_files
         a = run_cli("hash", feat, lab, "--code-length", 4, "--seed", 9)
@@ -304,6 +330,25 @@ class TestQuad:
         assert proc.returncode == 2
         assert b"epsilon" in proc.stderr
 
+    def test_timings_csv_row(self):
+        proc = run_cli("quad", "--n", 4, "--timings", "--format", "csv")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.decode().splitlines()
+        assert lines[0] == "key,value"
+        (row,) = [line for line in lines if line.startswith("wall_time,")]
+        assert float(row.split(",")[1]) >= 0.0
+
+    def test_defaults_do_not_leak_from_hash(self, capsys):
+        # hash lowers --max-iters and --nbr-cadence; the other solve
+        # commands keep the solver defaults
+        for argv in (["quad", "--n", "4"], ["subgraph", "-", "--k", "1"]):
+            args = cli.build_parser().parse_args(argv)
+            assert (args.max_iters, args.nbr_cadence) == (100, 10), argv
+        assert cli.main(["quad", "--n", "4"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["max_iterations"] == 100
+        assert config["neighborhood_cadence"] == 10
+
     def test_average_threshold_mode(self):
         proc = run_cli("quad", "--n", 6, "--threshold-mode", "average")
         assert proc.returncode == 0, proc.stderr
@@ -349,6 +394,15 @@ class TestOracle:
             "oracle", "--separable", "--n", 6, "--constraint-r", 4).stdout)
         assert doc["evaluations"] == 15  # C(6, 4)
         assert doc["optimum"].count(1) == 4
+
+    def test_csv_format(self):
+        proc = run_cli("oracle", "--n", 4, "--seed", 1, "--format", "csv")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.decode().splitlines()
+        assert lines[0] == "key,value"
+        assert "command,oracle" in lines
+        assert "evaluations,16" in lines
+        assert not any(line.startswith("wall_time,") for line in lines)
 
     def test_refuses_large_instance(self):
         proc = run_cli("oracle", "--n", 30)

@@ -8,6 +8,7 @@ import pytest
 from dpcd import (DimensionError, DomainError, NumericError, UNCONSTRAINED,
                   binary_vector, constraint_check, exact_ones,
                   hamming_distance, random_feasible, sign, signs)
+from dpcd.core import feasible_point
 
 
 class TestSign:
@@ -102,6 +103,27 @@ class TestConstraints:
     def test_negative_r_rejected_at_construction(self):
         with pytest.raises(DomainError):
             exact_ones(-1)
+
+
+class TestFeasiblePoint:
+    def test_float_array_is_not_copied(self):
+        x = np.array([1.0, -1.0, 1.0])
+        assert feasible_point(x, 3, exact_ones(2)) is x
+
+    def test_list_becomes_float_array(self):
+        x = feasible_point([1, -1], 2, UNCONSTRAINED)
+        assert x.dtype == np.float64 and x.tolist() == [1.0, -1.0]
+
+    @pytest.mark.parametrize("x,error", [
+        (np.ones(4), DimensionError),
+        (np.ones((1, 3)), DimensionError),
+        (np.array([1.0, 0.5, -1.0]), DomainError),
+        (np.array([1.0, 0.0, -1.0]), DomainError),
+        (np.array([1.0, 1.0, 1.0]), DomainError),  # three +1, not two
+    ])
+    def test_rejections(self, x, error):
+        with pytest.raises(error):
+            feasible_point(x, 3, exact_ones(2))
 
 
 class TestRandomFeasible:

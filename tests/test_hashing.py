@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from dpcd import (DimensionError, DomainError, NumericError, ParseError,
-                  alternating_hash, encode, evaluate_retrieval, hashing_loss,
+                  alternating_hash, encode, evaluate_retrieval,
                   load_matrix, load_matrix_binary, load_matrix_csv,
                   save_matrix_binary, signs, solve_projection, solve_w)
 
@@ -165,9 +165,16 @@ class TestAlternatingHash:
     def test_loss_helper_matches_history(self, rng):
         X = rng.standard_normal((15, 4))
         Y = rng.standard_normal((15, 2))
-        model = alternating_hash(X, Y, r=3, lam=2.0, seed=5)
-        assert model.loss_history[-1] == pytest.approx(
-            hashing_loss(model.B, model.W, Y, 2.0))
+        B0 = signs(rng.standard_normal((15, 3)))
+
+        def loss(B, W):
+            R = Y - B @ W
+            return 0.5 * np.sum(R * R) + 0.5 * 2.0 * np.sum(W * W)
+
+        model = alternating_hash(X, Y, r=3, lam=2.0, seed=5, initial_codes=B0)
+        # the first entry is the loss after the first W solve
+        assert model.loss_history[0] == pytest.approx(loss(B0, solve_w(B0, Y, 2.0)))
+        assert model.loss_history[-1] == pytest.approx(loss(model.B, model.W))
 
 
 def whole_matrix_retrieval(Q, D, rel, k):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from dpcd import (GRADIENT_AVERAGE, LIPSCHITZ, BoundUnavailableError,
-                  DomainError, NEIGHBORHOOD_CAP, NumericError, Objective,
-                  PrincipalSets, SolverConfig, ThresholdPolicy, UNCONSTRAINED,
+                  DimensionError, DomainError, NEIGHBORHOOD_CAP, NumericError,
+                  Objective, PrincipalSets, SolverConfig, ThresholdPolicy, UNCONSTRAINED,
                   balanced_flip, binary_vector, constraint_check,
                   derive_thresholds, dpcd_solve, effective_epsilon,
                   enumerate_neighborhood, exact_ones, exhaustive_oracle,
@@ -269,6 +269,16 @@ class TestNeighborhoodSearch:
         y = neighborhood_search(x, f, c, m=5, budget=300, seed=5)
         assert constraint_check(y, c)
         assert f.value(y) <= f.value(x)
+
+    @pytest.mark.parametrize("x,error", [
+        (np.full(5, 0.5), DomainError),
+        (np.ones(4), DimensionError),
+    ])
+    def test_point_checked(self, x, error):
+        # a box point used to come back as [0.5 ... -0.5], a short one as a
+        # numpy broadcast error
+        with pytest.raises(error):
+            neighborhood_search(x, random_quadratic(5, 0), UNCONSTRAINED, m=1)
 
     def test_budget_validation(self):
         f = random_quadratic(4, 0)
