@@ -358,12 +358,28 @@ def _bench_scaling(args, writer) -> None:
         writer((f"hash-n{n}", "dpcd", float(model.loss_history[-1]), per_outer))
 
 
+# the flags each bench suite reads, with their defaults
+_BENCH_DEFAULTS = {
+    "subgraph": {"methods": ["dpcd", "dpcd0", "greedy", "random"],
+                 "n": 150, "k": 10, "instances": 3},
+    "scaling": {"methods": ["dpcd"], "sizes": [2000, 8000, 32000]},
+}
+
+
 def cmd_bench(args) -> int:
+    defaults = _BENCH_DEFAULTS[args.suite]
+    for flag in ("methods", "n", "k", "instances", "sizes"):
+        if getattr(args, flag) is None:
+            setattr(args, flag, defaults.get(flag))
+        elif flag not in defaults:
+            raise DomainError(f"--{flag} does not apply to the {args.suite} suite")
     if not args.methods:
         raise DomainError("method list is empty")
     for m in args.methods:
         if m not in _METHODS:
             raise DomainError(f"unknown method {m!r}; known: {', '.join(_METHODS)}")
+        if args.suite == "scaling" and m != "dpcd":
+            raise DomainError(f"--methods: the scaling suite runs only dpcd, not {m!r}")
     lines = ["instance,method,value,time"]
 
     def writer(row):
@@ -424,13 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a method grid, emit CSV")
     p.add_argument("--suite", choices=["subgraph", "scaling"], default="subgraph")
-    p.add_argument("--methods", type=lambda s: [m for m in s.split(",") if m],
-                   default=["dpcd", "dpcd0", "greedy", "random"])
-    p.add_argument("--n", type=int, default=150)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--instances", type=int, default=3)
-    p.add_argument("--sizes", type=lambda s: [int(t) for t in s.split(",") if t],
-                   default=[2000, 8000, 32000])
+    # suite flags default to None: cmd_bench fills in the suite's own
+    # defaults and refuses a flag the suite does not read
+    p.add_argument("--methods", type=lambda s: [m for m in s.split(",") if m])
+    p.add_argument("--n", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--instances", type=int)
+    p.add_argument("--sizes", type=lambda s: [int(t) for t in s.split(",") if t])
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 

@@ -75,81 +75,214 @@ def _read_all(source):
         return fh.read()
 
 
-def _as_text_lines(source):
-    data = _read_all(source)
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return data.splitlines()
+# the characters of str.isspace and the line breaks of str.splitlines (a
+# test checks both against the interpreter), as lookup tables by code
+# point; no code point past U+3000 is in either
+_SPACES = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002"
+           "\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f"
+           "\u205f\u3000")
+_LINE_BREAKS = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
+_PLAIN = 0x3001  # stands for every code point past U+3000
+_IS_SPACE, _IS_BREAK = (np.isin(np.arange(_PLAIN + 1), [ord(c) for c in chars])
+                        for chars in (_SPACES, _LINE_BREAKS))
+
+# edge-list text is parsed in line-aligned blocks of about this many bytes,
+# so the parse's scratch memory does not grow with the file
+_BLOCK_BYTES = 1 << 18
+
+# a faulty line raises the error of the first check it fails, in this
+# order; a comment line can fail only the two header checks
+_FAULTS = (
+    (ParseError, "malformed node-count header: {!r}"),
+    (ParseError, "negative node count"),
+    (ParseError, "expected 'u v [w]', got {!r}"),
+    (ParseError, "non-numeric field in {!r}"),
+    (ParseError, "negative node id"),
+    (DomainError, "edge weight must be positive and finite"),
+    (ParseError, "node id outside int64 in {!r}"),
+)
+_HEADER, _NEGATIVE_COUNT, _FIELDS, _NUMERIC, _NEGATIVE_ID, _WEIGHT, _OUTSIDE = range(7)
+
+
+def _blocks(data):
+    """Line-aligned slices of data of about _BLOCK_BYTES, at least one.
+
+    Every slice but the last ends just after a newline, which splits
+    neither a line ("\r\n" included) nor a UTF-8 sequence."""
+    newline = "\n" if isinstance(data, str) else b"\n"
+    start = 0
+    while True:
+        end = len(data)
+        if end - start > _BLOCK_BYTES:
+            cut = data.rfind(newline, start, start + _BLOCK_BYTES)
+            if cut < 0:  # a line longer than a block
+                cut = data.find(newline, start + _BLOCK_BYTES)
+            if cut >= 0:
+                end = cut + 1
+        yield data[start:end]
+        if end == len(data):
+            return
+        start = end
+
+
+def _convert(tokens, dtype):
+    """tokens as a dtype array, with each token's fault rank (0, _NUMERIC
+    or _OUTSIDE).
+
+    numpy converts each string with Python's int or float, so the accepted
+    spellings are exactly theirs."""
+    fault = np.zeros(len(tokens), dtype=np.int8)
+    try:
+        return np.array(tokens, dtype=dtype), fault
+    except (ValueError, OverflowError):
+        pass
+    # per-token scan: runs only on a block that holds a faulty token
+    values = np.zeros(len(tokens), dtype=dtype)
+    parse = int if dtype == np.int64 else float
+    for i, token in enumerate(tokens):
+        try:
+            value = parse(token)
+        except ValueError:
+            fault[i] = _NUMERIC
+            continue
+        try:
+            values[i] = value
+        except OverflowError:
+            # keep the sign: the negative-id check comes first
+            fault[i], values[i] = _OUTSIDE, -1 if value < 0 else 0
+    return values, fault
+
+
+def _parse_block(text: str, first_line: int):
+    """(declared count or None, u, v, w, line breaks) of a run of whole
+    lines whose first is line first_line of the file.
+
+    Tokens are placed on their lines with numpy over the characters. A
+    fault raises the error of the first faulty line, for the first check
+    it fails in _FAULTS order, with its number in the file."""
+    if text.isascii():
+        chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    else:
+        chars = np.minimum(np.frombuffer(
+            text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32), _PLAIN)
+    edges = np.flatnonzero(np.diff(~_IS_SPACE[chars], prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2]
+    breaks = _IS_BREAK[chars]
+    breaks[:-1] &= (chars[:-1] != ord("\r")) | (chars[1:] != ord("\n"))
+    breaks = np.flatnonzero(breaks)
+    line = np.searchsorted(breaks, starts)
+    # one entry per non-empty line: its first token and its token count
+    first = np.flatnonzero(np.diff(line, prepend=-1))
+    count = np.diff(first, append=len(line))
+    lead = chars[starts[first]]
+    comment = (lead == ord("#")) | (lead == ord("%"))
+
+    def stripped(j):
+        return text[starts[first[j]]:ends[first[j] + count[j] - 1]]
+
+    faults = []  # (line in block, rank, line entry); the least one raises
+    declared = None
+    for j in np.flatnonzero(comment):
+        body = stripped(j)[1:].strip()
+        if body.lower().startswith("nodes"):
+            try:
+                declared = int(body.split()[1])
+            except (IndexError, ValueError):
+                faults.append((line[first[j]], _HEADER, j))
+                break
+            if declared < 0:
+                faults.append((line[first[j]], _NEGATIVE_COUNT, j))
+                break
+    fields = ~comment & (count != 2) & (count != 3)
+    if fields.any():
+        j = np.flatnonzero(fields)[0]
+        faults.append((line[first[j]], _FIELDS, j))
+
+    rows = np.flatnonzero(~comment & ~fields)
+    at = first[rows]
+    weighted = count[rows] == 3
+    tokens = np.array(text.split(), dtype=object)
+    ids, id_fault = _convert(tokens[np.stack([at, at + 1], axis=1).ravel()], np.int64)
+    ids, id_fault = ids.reshape(-1, 2), id_fault.reshape(-1, 2)
+    w, w_fault = np.ones(len(rows)), np.zeros(len(rows), dtype=np.int8)
+    w[weighted], w_fault[weighted] = _convert(tokens[at[weighted] + 2], np.float64)
+    # each data line's first failed check, in _FAULTS order
+    rank = np.select([(id_fault == _NUMERIC).any(axis=1) | (w_fault == _NUMERIC),
+                      (ids < 0).any(axis=1), ~(np.isfinite(w) & (w > 0)),
+                      (id_fault == _OUTSIDE).any(axis=1)],
+                     [_NUMERIC, _NEGATIVE_ID, _WEIGHT, _OUTSIDE])
+    if rank.any():
+        k = np.flatnonzero(rank)[0]
+        faults.append((line[at[k]], rank[k], rows[k]))
+    if faults:
+        at_line, rank, j = min(faults)
+        kind, message = _FAULTS[rank]
+        raise kind(f"line {first_line + at_line}: " + message.format(stripped(j)))
+    return declared, ids[:, 0], ids[:, 1], w, len(breaks)
+
+
+def _decode(block, first_line: int) -> str:
+    if isinstance(block, str):
+        return block
+    try:
+        return block.decode("utf-8")
+    except UnicodeDecodeError as e:
+        good = block[:e.start].decode("utf-8")
+        lines = (good + "x").splitlines()  # "x" stands for the bad byte
+        # a fault on an earlier line comes first in file order
+        _parse_block(good[:len(good) + 1 - len(lines[-1])], first_line)
+        raise ParseError(f"line {first_line + len(lines) - 1}: "
+                         f"not UTF-8 text ({e.reason})") from None
 
 
 def _merge_edges(n_declared, raw_u, raw_v, raw_w):
-    # normalize to u < v, sum duplicates, drop self loops with a warning
+    # normalize to u < v and sum duplicates; callers drop self loops first
     u = np.asarray(raw_u, dtype=np.intp)
     v = np.asarray(raw_v, dtype=np.intp)
     w = np.asarray(raw_w, dtype=float)
-    loops = u == v
-    dropped = int(loops.sum())
-    if dropped:
-        warnings.warn(f"dropped {dropped} self-loop(s)")
-        u, v, w = u[~loops], v[~loops], w[~loops]
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    n = n_declared if n_declared is not None else (int(hi.max()) + 1 if len(hi) else 0)
-    if len(hi) and n_declared is not None and int(hi.max()) >= n_declared:
-        raise ParseError(f"node id {int(hi.max())} outside declared node count {n_declared}")
-    if len(lo) == 0:
+    top = int(max(u.max(), v.max())) if len(u) else -1
+    if n_declared is not None and top >= n_declared:
+        raise ParseError(f"node id {top} outside declared node count {n_declared}")
+    n = top + 1 if n_declared is None else n_declared
+    if len(u) == 0:
         return SparseGraph(n, [], [], [])
-    key = lo * n + hi
+    key = np.minimum(u, v) * n + np.maximum(u, v)
     order = np.argsort(key, kind="stable")
-    key, lo, hi, w = key[order], lo[order], hi[order], w[order]
+    key = key[order]
     boundaries = np.concatenate([[True], key[1:] != key[:-1]])
-    group = np.cumsum(boundaries) - 1
-    sums = np.zeros(int(group[-1]) + 1)
-    np.add.at(sums, group, w)
+    del key
+    # each group's weights add one by one in stable sorted order
+    sums = np.bincount(np.cumsum(boundaries) - 1, weights=w[order])
     if (sums <= 0).any():
         raise DomainError("non-positive edge weight after merging")
-    keep = boundaries.nonzero()[0]
-    return SparseGraph(n, lo[keep], hi[keep], sums)
+    keep = order[boundaries]
+    del order
+    return SparseGraph(n, np.minimum(u[keep], v[keep]), np.maximum(u[keep], v[keep]), sums)
 
 
 def load_edge_list(source) -> SparseGraph:
-    """Parse whitespace-separated "u v [w]" lines.
+    """Parse whitespace-separated "u v [w]" lines of UTF-8 text.
 
     Comment lines start with '#' or '%'. A "#nodes N" header fixes the node
-    count (otherwise 1 + max id). Duplicate edges sum their weights, self
-    loops are dropped with a warning, and ids at or beyond a declared count
-    are an error. Default weight is 1.0; weights must be positive.
+    count (otherwise 1 + max id); the last one wins. Duplicate edges sum
+    their weights, self loops are dropped with a warning, and ids at or
+    beyond a declared count are an error. Default weight is 1.0; weights
+    must be positive. Lines break as in str.splitlines, and ids must fit
+    in int64. A fault raises for the first faulty line, by its number.
     """
-    declared = None
-    us, vs, ws = [], [], []
-    for lineno, line in enumerate(_as_text_lines(source), start=1):
-        text = line.strip()
-        if not text:
-            continue
-        if text.startswith("#") or text.startswith("%"):
-            body = text[1:].strip()
-            if body.lower().startswith("nodes"):
-                try:
-                    declared = int(body.split()[1])
-                except (IndexError, ValueError):
-                    raise ParseError(f"line {lineno}: malformed node-count header: {text!r}")
-                if declared < 0:
-                    raise ParseError(f"line {lineno}: negative node count")
-            continue
-        parts = text.split()
-        if len(parts) not in (2, 3):
-            raise ParseError(f"line {lineno}: expected 'u v [w]', got {text!r}")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-            weight = float(parts[2]) if len(parts) == 3 else 1.0
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-numeric field in {text!r}")
-        if a < 0 or b < 0:
-            raise ParseError(f"line {lineno}: negative node id")
-        if not np.isfinite(weight) or weight <= 0:
-            raise DomainError(f"line {lineno}: edge weight must be positive and finite")
-        us.append(a); vs.append(b); ws.append(weight)
-    return _merge_edges(declared, us, vs, ws)
+    declared, parts, loops, first_line = None, [], 0, 1
+    for block in _blocks(_read_all(source)):
+        header, u, v, w, lines = _parse_block(_decode(block, first_line), first_line)
+        declared = declared if header is None else header
+        edge = u != v
+        loops += len(edge) - int(edge.sum())
+        parts.append((u[edge], v[edge], w[edge]))
+        first_line += lines
+    if loops:
+        warnings.warn(f"dropped {loops} self-loop(s)")
+    u, v, w = (np.concatenate(column) for column in zip(*parts))
+    del parts  # the merge's temporaries need the room
+    return _merge_edges(declared, u, v, w)
 
 
 def save_edge_list(graph: SparseGraph, sink) -> None:

@@ -8,6 +8,7 @@ Also hosts the dense-matrix file formats the command line accepts.
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -249,13 +250,29 @@ def load_matrix_binary(path) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
 
 
+def _undecodable_line(path) -> int:
+    # the line of a file's first byte that is not UTF-8, numbered as text
+    # mode reads lines (newline=None: universal newlines)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        data = data[:e.start]
+    return len(io.StringIO(data.decode("utf-8") + "x", newline=None).readlines())
+
+
 def load_matrix_csv(path) -> np.ndarray:
     """Comma-separated numeric rows; a single leading header line is
     tolerated and skipped."""
-    with open(path, "r") as fh:
-        # blank lines are skipped but keep their place in the numbering
-        lines = [(i, line.strip()) for i, line in enumerate(fh, start=1)
-                 if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            # blank lines are skipped but keep their place in the numbering
+            lines = [(i, line.strip()) for i, line in enumerate(fh, start=1)
+                     if line.strip()]
+    except UnicodeDecodeError as e:
+        raise ParseError(
+            f"line {_undecodable_line(path)}: not UTF-8 text ({e.reason})") from None
     if not lines:
         raise ParseError("empty matrix file")
     start = 0

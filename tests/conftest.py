@@ -1,8 +1,16 @@
 """Shared fixtures and oracles for the test suite."""
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dpcd import Objective, make_quadratic
+
+# property tests draw the same examples on every run, with no per-example
+# deadline (timing on a loaded machine is no test result) and no example
+# database written next to the sources
+settings.register_profile("dpcd", derandomize=True, deadline=None,
+                          max_examples=150, database=None)
+settings.load_profile("dpcd")
 
 
 def central_difference(f, p, h=1e-5):

@@ -170,6 +170,19 @@ class TestSubgraph:
         assert b"line 1" in proc.stderr
 
 
+    @pytest.mark.parametrize("data,line", [
+        (b"0 1\n1 2\xff\n", b"line 2: not UTF-8"),
+        (b"0 1\n1 99999999999999999999\n", b"line 2: node id outside int64"),
+    ], ids=["non-utf8", "beyond-int64"])
+    def test_unreadable_graph_is_an_input_error(self, tmp_path, data, line):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        proc = run_cli("subgraph", path, "--k", 1)
+        assert proc.returncode == 2, proc.stderr
+        assert line in proc.stderr
+        assert b"Traceback" not in proc.stderr
+
+
 class TestHash:
     def test_document_and_monotone_loss(self, hash_files):
         feat, lab, _, _ = hash_files
@@ -204,6 +217,15 @@ class TestHash:
         assert doc["eval"]["k"] == 3
         assert 0.0 <= doc["eval"]["map"] <= 1.0
         assert 0.0 <= doc["eval"]["precision_at_k"] <= 1.0
+
+    def test_non_utf8_features(self, hash_files, tmp_path):
+        _, lab, _, _ = hash_files
+        feat = tmp_path / "latin1.csv"
+        feat.write_bytes(b"f0,f1,f2\n" + b"1,2,3\n" * 3 + b"1,2,\xe9\n" + b"1,2,3\n" * 4)
+        proc = run_cli("hash", feat, lab, "--code-length", 4)
+        assert proc.returncode == 2, proc.stderr
+        assert b"line 5: not UTF-8" in proc.stderr
+        assert b"Traceback" not in proc.stderr
 
     def test_eval_needs_labels(self, hash_files):
         feat, lab, _, _ = hash_files
@@ -455,6 +477,19 @@ class TestBench:
         rows = self._rows(proc.stdout)
         assert [r[0] for r in rows] == ["hash-n300", "hash-n600"]
         assert all(r[3] > 0.0 for r in rows)
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--n", "40"), ("--k", "6"), ("--instances", "2"), ("--methods", "dpcd,greedy"),
+    ])
+    def test_scaling_suite_refuses_subgraph_flags(self, flag, value):
+        proc = run_cli("bench", "--suite", "scaling", "--sizes", "300", flag, value)
+        assert proc.returncode == 2
+        assert flag.encode() in proc.stderr
+
+    def test_subgraph_suite_refuses_sizes(self):
+        proc = run_cli("bench", "--n", 40, "--k", 6, "--instances", 1, "--sizes", "300")
+        assert proc.returncode == 2
+        assert b"--sizes" in proc.stderr
 
     def test_unknown_method(self):
         proc = run_cli("bench", "--methods", "dpcd,bogus")

@@ -1,12 +1,18 @@
 """Graph ingestion, generation, serialization, and the density metric."""
 import io
+import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dpcd import (DomainError, ParseError, SparseGraph, density,
                   load_edge_list, load_matrix_market, make_dense_subgraph,
                   planted_partition, save_edge_list)
+from dpcd import graph as graph_mod
 
 
 class TestSparseGraph:
@@ -113,6 +119,252 @@ class TestEdgeList:
         save_edge_list(g, p)
         back = load_edge_list(p)
         assert np.array_equal(back.w, g.w)
+
+
+def reference_load_edge_list(data):
+    """A per-line edge-list parser with an np.add.at merge: the oracle of
+    the block parser in the property tests."""
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+    declared = None
+    us, vs, ws = [], [], []
+    for lineno, line in enumerate(data.splitlines(), start=1):
+        text = line.strip()
+        if not text:
+            continue
+        if text.startswith("#") or text.startswith("%"):
+            body = text[1:].strip()
+            if body.lower().startswith("nodes"):
+                try:
+                    declared = int(body.split()[1])
+                except (IndexError, ValueError):
+                    raise ParseError(f"line {lineno}: malformed node-count header: {text!r}")
+                if declared < 0:
+                    raise ParseError(f"line {lineno}: negative node count")
+            continue
+        parts = text.split()
+        if len(parts) not in (2, 3):
+            raise ParseError(f"line {lineno}: expected 'u v [w]', got {text!r}")
+        try:
+            a, b = int(parts[0]), int(parts[1])
+            weight = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-numeric field in {text!r}")
+        if a < 0 or b < 0:
+            raise ParseError(f"line {lineno}: negative node id")
+        if not np.isfinite(weight) or weight <= 0:
+            raise DomainError(f"line {lineno}: edge weight must be positive and finite")
+        us.append(a); vs.append(b); ws.append(weight)
+    u = np.asarray(us, dtype=np.intp)
+    v = np.asarray(vs, dtype=np.intp)
+    w = np.asarray(ws, dtype=float)
+    loops = u == v
+    dropped = int(loops.sum())
+    if dropped:
+        warnings.warn(f"dropped {dropped} self-loop(s)")
+        u, v, w = u[~loops], v[~loops], w[~loops]
+    lo = np.minimum(u, v)
+    hi = np.maximum(u, v)
+    n = declared if declared is not None else (int(hi.max()) + 1 if len(hi) else 0)
+    if len(hi) and declared is not None and int(hi.max()) >= declared:
+        raise ParseError(f"node id {int(hi.max())} outside declared node count {declared}")
+    if len(lo) == 0:
+        return SparseGraph(n, [], [], [])
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    key, lo, hi, w = key[order], lo[order], hi[order], w[order]
+    boundaries = np.concatenate([[True], key[1:] != key[:-1]])
+    group = np.cumsum(boundaries) - 1
+    sums = np.zeros(int(group[-1]) + 1)
+    np.add.at(sums, group, w)
+    if (sums <= 0).any():
+        raise DomainError("non-positive edge weight after merging")
+    keep = boundaries.nonzero()[0]
+    return SparseGraph(n, lo[keep], hi[keep], sums)
+
+
+def outcome(load, data):
+    """What a loader makes of data: the graph's bytes and its warnings, or
+    the type and message of what it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            g = load(data)
+        except (ParseError, DomainError) as e:
+            return type(e), str(e)
+    return (g.n, g.u.dtype, g.u.tobytes(), g.v.tobytes(), g.w.tobytes(),
+            [str(w.message) for w in caught])
+
+
+# whitespace inside a line, and line breaks, as str.split and
+# str.splitlines see them
+PADDING = st.lists(st.sampled_from([" ", "\t", "\xa0", "\x1f", "\u3000"]),
+                   max_size=2).map("".join)
+SEPARATOR = st.lists(st.sampled_from([" ", "\t", "\xa0", "\u2003"]),
+                     min_size=1, max_size=2).map("".join)
+BREAK = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x0b", "\x1c", "\x85", "\u2028"])
+# few distinct ids, so duplicates and self loops are common; spellings
+# that int() takes
+NODE = st.one_of(st.integers(0, 6).map(str), st.sampled_from(["+1", "0_2", "006"]))
+WEIGHT = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(repr),
+    st.sampled_from(["5e-324", "2.2250738585072014e-308", "+3", "1_0.5", "1E2"]))
+
+
+@st.composite
+def edge_line(draw):
+    fields = [draw(NODE), draw(NODE)] + ([draw(WEIGHT)] if draw(st.booleans()) else [])
+    line = draw(PADDING) + fields[0]
+    for field in fields[1:]:
+        line += draw(SEPARATOR) + field
+    return line + draw(PADDING)
+
+
+COMMENT = st.tuples(PADDING, st.sampled_from(["#", "%"]),
+                    st.text("ab 01x", max_size=6)).map("".join)
+# a declared count above every id above keeps the file well formed
+HEADER = st.tuples(PADDING, st.sampled_from(["#", "%"]), PADDING,
+                   st.sampled_from(["nodes", "NODES", "Nodes"]), SEPARATOR,
+                   st.integers(7, 9).map(str), PADDING).map("".join)
+LINE = st.one_of(edge_line(), edge_line(), edge_line(), COMMENT, HEADER, PADDING)
+# one fault per line; each fails a different one of the per-line checks
+FAULTY = st.sampled_from([
+    "0 x", "1.0 2", "0x1 2", "0 1 abc", "0", "0 1 2 3", "-1 2", "0 -3 1",
+    "0 1 0", "0 1 -2", "0 1 inf", "0 1 nan", "-1 2 0", "x -1",
+    "#nodes many", "%nodes", "#nodes -3", "#nodes 2",
+])
+
+
+@st.composite
+def edge_file(draw, faults=0):
+    lines = draw(st.lists(LINE, max_size=12))
+    for _ in range(faults):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(PADDING) + draw(FAULTY) + draw(PADDING))
+    # the last line may end without a break
+    text = "".join(draw(BREAK) + line for line in lines)[1:]
+    text = text + draw(st.sampled_from(["", "\n", "\r\n", "\r"]))
+    return text.encode() if draw(st.booleans()) else text
+
+
+class TestEdgeListMatchesReference:
+    """The block parser against the former per-line loop. Small patched
+    block sizes put block boundaries everywhere in these short files."""
+
+    def check(self, text, block):
+        # a str is read as a text stream, bytes as a file's contents
+        source = io.StringIO(text) if isinstance(text, str) else text
+        with mock.patch.object(graph_mod, "_BLOCK_BYTES", block):
+            got = outcome(load_edge_list, source)
+        want = outcome(reference_load_edge_list, text)
+        assert got == want
+
+    @given(edge_file(), st.sampled_from([4, 16, 1 << 18]))
+    def test_well_formed(self, text, block):
+        self.check(text, block)
+
+    @given(edge_file(faults=1), st.sampled_from([4, 16, 1 << 18]))
+    def test_one_fault(self, text, block):
+        self.check(text, block)
+
+    @given(edge_file(faults=2), st.sampled_from([4, 16, 1 << 18]))
+    def test_two_faults(self, text, block):
+        self.check(text, block)
+
+    @pytest.mark.parametrize("first,second", [
+        ("0 1 0", "x 2"), ("x 2", "0 1 0"), ("0 1 2 3", "-1 2"),
+        ("-1 2", "#nodes many"), ("#nodes -1", "0"), ("0 1 nan", "1 2 abc"),
+    ])
+    @pytest.mark.parametrize("block", [4, 1 << 18])
+    def test_two_faults_of_different_kinds(self, first, second, block):
+        # the first faulty line wins, whatever its kind
+        text = f"0 1\n1 2\n{first}\n2 3\n{second}\n3 4\n"
+        self.check(text, block)
+
+    @pytest.mark.parametrize("fault", ["0 x", "0 1 0", "#nodes x", "1", "-2 1"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_fault_at_a_real_block_boundary(self, fault, offset):
+        lines = [f"{i % 997} {(i * 7) % 991 + 1000} 1.5" for i in range(70000)]
+        data = "\n".join(lines) + "\n"
+        # the first block ends at the last newline inside its byte budget
+        boundary = data.rfind("\n", 0, graph_mod._BLOCK_BYTES) + 1
+        at = data.count("\n", 0, boundary) + offset  # 0-based line index
+        lines[at] = fault.ljust(len(lines[at]))  # same length: the boundary stays
+        text = "\n".join(lines) + "\n"
+        assert text.rfind("\n", 0, graph_mod._BLOCK_BYTES) + 1 == boundary
+        self.check(text, graph_mod._BLOCK_BYTES)
+
+
+class TestEdgeListText:
+    def test_character_sets_match_python(self):
+        assert set(graph_mod._SPACES) == {chr(c) for c in range(0x110000)
+                                          if chr(c).isspace()}
+        everything = "a".join(map(chr, range(0x110000)))
+        breaks = {line[-1] for line in everything.splitlines(keepends=True)[:-1]}
+        assert set(graph_mod._LINE_BREAKS) == breaks
+        assert max(map(ord, graph_mod._SPACES)) < graph_mod._PLAIN
+
+    def test_line_breaks_of_splitlines(self):
+        text = "#nodes 9\r\n0 1\r1 2\x0c2 3\u20283 4\x1c4 5\r\n\r\n5\xa0x\n"
+        with pytest.raises(ParseError) as caught:
+            load_edge_list(text.encode())
+        assert str(caught.value) == "line 8: non-numeric field in " + repr("5\xa0x")
+
+    @pytest.mark.parametrize("block", [4, 1 << 18])
+    def test_last_header_wins(self, block):
+        with mock.patch.object(graph_mod, "_BLOCK_BYTES", block):
+            g = load_edge_list(b"#nodes 3\n0 1\n% nodes 12\n1 2\n")
+        assert g.n == 12
+
+    def test_non_utf8_names_the_line(self):
+        with pytest.raises(ParseError, match="^line 2: not UTF-8 text"):
+            load_edge_list(b"0 1\n1 2\xff\n2 3\n")
+        with pytest.raises(ParseError, match="^line 3: not UTF-8 text"):
+            load_edge_list(b"0 1\r1 2\r\n\xc3\n")
+
+    def test_earlier_fault_comes_before_bad_bytes(self):
+        with pytest.raises(ParseError, match="^line 1: non-numeric"):
+            load_edge_list(b"0 x\n1 2\xff\n")
+
+    def test_non_utf8_in_a_later_block(self):
+        data = b"0 1\n" * 10 + b"1 \xe2\x82\n"
+        with mock.patch.object(graph_mod, "_BLOCK_BYTES", 8):
+            with pytest.raises(ParseError, match="^line 11: not UTF-8 text"):
+                load_edge_list(data)
+
+    def test_id_beyond_int64_names_the_line(self):
+        with pytest.raises(ParseError,
+                           match="^line 2: node id outside int64 in '1 99999999999999999999'$"):
+            load_edge_list(b"0 1\n1 99999999999999999999\n")
+        # the per-line checks the old loop made come first on that line
+        with pytest.raises(ParseError, match="^line 1: negative node id$"):
+            load_edge_list(b"-99999999999999999999 1\n")
+        with pytest.raises(DomainError, match="^line 1: edge weight"):
+            load_edge_list(b"99999999999999999999 1 0\n")
+        with pytest.raises(ParseError, match="^line 1: non-numeric"):
+            load_edge_list(b"99999999999999999999 1 x\n")
+
+    def test_text_stream_source(self):
+        g = load_edge_list(io.StringIO("0 1 0.5\n1 2\n"))
+        assert np.array_equal(g.w, [0.5, 1.0])
+
+    def test_peak_memory_follows_block_not_file(self):
+        rng = np.random.default_rng(5)
+        edges = 200_000
+        u, v = rng.integers(0, 20000, (2, edges)).tolist()
+        data = "".join(f"{a} {b}\n" for a, b in zip(u, v)).encode()
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a few self loops
+                load_edge_list(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the merge's sort and the graph take about 80 bytes an edge (16 MB
+        # here) and one block's scratch a few MB more; a parser that holds
+        # every line and every field of the 2 MB file at once needs 39 MB
+        assert peak < 24 * 2**20
 
 
 def mm(text: str) -> bytes:

@@ -355,6 +355,21 @@ class TestMatrixFiles:
         with pytest.raises(ParseError, match=f"^line {line}: {kind}"):
             load_matrix_csv(p)
 
+    @pytest.mark.parametrize("data,line", [
+        (b"a,b\n1,2\n3,\xff\n", 3),
+        (b"1,2\r3,4\r\n\r\n5,\xc3\n", 4),  # numbered as text mode reads lines
+    ])
+    def test_csv_non_utf8_names_the_line(self, tmp_path, data, line):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(data)
+        with pytest.raises(ParseError, match=f"^line {line}: not UTF-8 text"):
+            load_matrix_csv(p)
+
+    def test_csv_universal_newlines(self, tmp_path):
+        p = tmp_path / "cr.csv"
+        p.write_bytes(b"x,y\r1.0,2.0\r\n3.0,4.0\r")
+        assert np.array_equal(load_matrix_csv(p), [[1.0, 2.0], [3.0, 4.0]])
+
     def test_csv_only_header(self, tmp_path):
         p = tmp_path / "h.csv"
         p.write_text("col_a,col_b\n")
