@@ -150,8 +150,10 @@ def random_search(f: Objective, c: ConstraintSpec, samples: int, seed=0) -> Orac
     sweep is partial."""
     if samples < 1:
         raise DomainError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
     n = f.dimension
+    if c.is_exact_ones and c.r > n:
+        raise DomainError(f"exact-ones r={c.r} infeasible for n={n}")
+    rng = np.random.default_rng(seed)
     # successive blocks continue one rng stream, so the first strict
     # minimum does not depend on the block size
     block = max(1, min(_CHUNK, BLOCK_ENTRIES // n))

@@ -8,6 +8,7 @@ sparse matrix is materialized on demand and cached.
 from __future__ import annotations
 
 import io
+import math
 import warnings
 
 import numpy as np
@@ -15,6 +16,9 @@ import scipy.sparse as sp
 from scipy.io import mmread
 
 from .core import DomainError, ParseError
+
+# the most nodes whose edge keys lo * n + hi < n * n all fit in int64
+_MAX_NODES = math.isqrt(np.iinfo(np.int64).max)
 
 
 class SparseGraph:
@@ -244,6 +248,11 @@ def _merge_edges(n_declared, raw_u, raw_v, raw_w):
     if n_declared is not None and top >= n_declared:
         raise ParseError(f"node id {top} outside declared node count {n_declared}")
     n = top + 1 if n_declared is None else n_declared
+    # edges sort by the int64 key lo * n + hi, which needs n * n to fit
+    if n > _MAX_NODES:
+        if n_declared is None:
+            raise ParseError(f"node id {top} too large: ids must be below {_MAX_NODES}")
+        raise ParseError(f"declared node count {n} exceeds {_MAX_NODES}")
     if len(u) == 0:
         return SparseGraph(n, [], [], [])
     key = np.minimum(u, v) * n + np.maximum(u, v)
@@ -267,8 +276,9 @@ def load_edge_list(source) -> SparseGraph:
     count (otherwise 1 + max id); the last one wins. Duplicate edges sum
     their weights, self loops are dropped with a warning, and ids at or
     beyond a declared count are an error. Default weight is 1.0; weights
-    must be positive. Lines break as in str.splitlines, and ids must fit
-    in int64. A fault raises for the first faulty line, by its number.
+    must be positive. Lines break as in str.splitlines, and ids must be
+    below 3037000499, so that n * n fits in int64. A fault raises for the
+    first faulty line, by its number.
     """
     declared, parts, loops, first_line = None, [], 0, 1
     for block in _blocks(_read_all(source)):

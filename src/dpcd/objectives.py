@@ -90,6 +90,18 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
     diag = A.diagonal()
     lipschitz = 2.0 * float(row_abs.max()) if n else 0.0
 
+    if sp.issparse(gather):
+        def pair_coeffs(cols, u, v):
+            return np.asarray(gather[cols[u], cols[v]]).ravel()
+    else:
+        # A is symmetric, so entry (u, v) sits at u*n + v in C and in F
+        # order alike: K order flattens either without a copy (a strided
+        # matrix is copied once, here)
+        flat = gather.ravel(order="K")
+
+        def pair_coeffs(cols, u, v):
+            return flat.take(cols[u] * n + cols[v])
+
     def value(x):
         x = np.asarray(x, dtype=float)
         return float(x @ (A @ x) + c @ x + d)
@@ -109,13 +121,17 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
         # where s = x*(4*diag(A)*x - 4*Ax - 2c) holds the single-flip deltas
         x = np.asarray(x, dtype=float)
         s = x * (4.0 * diag * x - 4.0 * (A @ x) - 2.0 * c)
-        xf = x[flips]
         delta = s[flips].sum(axis=1)
-        j = flips.shape[1]
+        # one contiguous index column per flip; each pair then adds
+        # (8*x_u) * x_v * A_uv in (u, v) order, the rounding seeded
+        # outputs depend on
+        cols = np.ascontiguousarray(flips.T)
+        xc = x[cols]
+        x8 = 8.0 * xc
+        j = len(cols)
         for u in range(j):
             for v in range(u + 1, j):
-                avals = np.asarray(gather[flips[:, u], flips[:, v]]).ravel()
-                delta += 8.0 * xf[:, u] * xf[:, v] * avals
+                delta += x8[u] * xc[v] * pair_coeffs(cols, u, v)
         return delta
 
     return Objective(

@@ -11,7 +11,6 @@ only way to certify a stop.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -199,16 +198,28 @@ def neighborhood_size(x: BinaryVector, c: ConstraintSpec, m: int) -> int:
                for j in range(1, min(m, *map(len, pools)) + 1))
 
 
+def _local_subsets(size: int, top: int) -> Iterator[np.ndarray]:
+    # the j-subsets of range(size) as rows, for j = 1..top, each in the
+    # lexicographic order of itertools.combinations: a radius-j row is a
+    # radius-(j-1) row extended, in order, by every larger index
+    rows = np.arange(size, dtype=np.intp)[:, None]
+    for j in range(1, top + 1):
+        if j > 1:
+            last = rows[:, -1]
+            counts = size - 1 - last
+            ends = np.cumsum(counts)
+            # row i's children append last_i + 1, ..., size - 1 in turn
+            extra = np.arange(ends[-1]) + np.repeat(last + 1 - (ends - counts), counts)
+            rows = np.concatenate([np.repeat(rows, counts, axis=0), extra[:, None]], axis=1)
+        yield rows
+
+
 def _exhaustive_blocks(pools: list, top: int) -> Iterator[np.ndarray]:
     # every move of radius 1..top in blocks of _EVAL_CHUNK rows; a move is
     # one j-subset per pool, ordered drop-major (the first pool varies
     # slowest), and each pool's subsets are held as one array per radius
-    for j in range(1, top + 1):
-        subsets = []
-        for p in pools:
-            flat = itertools.chain.from_iterable(itertools.combinations(range(len(p)), j))
-            rows = np.fromiter(flat, dtype=np.intp, count=math.comb(len(p), j) * j)
-            subsets.append(p[rows.reshape(-1, j)])
+    for per_pool in zip(*(_local_subsets(len(p), top) for p in pools)):
+        subsets = [p[rows] for p, rows in zip(pools, per_pool)]
         shape = [len(s) for s in subsets]
         total = math.prod(shape)
         for lo in range(0, total, _EVAL_CHUNK):
@@ -238,13 +249,16 @@ def _distinct_rows(rng: np.random.Generator, pool: np.ndarray, j: int, cnt: int)
     when the draw already sits earlier in its row.
     """
     size = len(pool)
-    rows = np.empty((cnt, j), dtype=np.intp)
+    cols = np.empty((j, cnt), dtype=np.intp)
     for t in range(j):
         top = size - j + t
         draw = rng.integers(0, top + 1, cnt)
-        seen = (rows[:, :t] == draw[:, None]).any(axis=1)
-        rows[:, t] = np.where(seen, top, draw)
-    return pool[rows]
+        seen = np.zeros(cnt, dtype=bool)
+        for earlier in cols[:t]:
+            seen |= earlier == draw
+        draw[seen] = top
+        cols[t] = draw
+    return pool[cols.T]
 
 
 def _sampled_blocks(pools: list, top: int, budget: int,
@@ -252,8 +266,7 @@ def _sampled_blocks(pools: list, top: int, budget: int,
     # radius drawn uniformly so short moves stay visible next to the
     # combinatorially dominant long ones; one block per radius drawn
     radii = rng.integers(1, top + 1, size=budget)
-    for j in range(1, top + 1):
-        cnt = int(np.sum(radii == j))
+    for j, cnt in enumerate(np.bincount(radii, minlength=top + 1).tolist()):
         if cnt:
             yield np.concatenate([_distinct_rows(rng, p, j, cnt) for p in pools], axis=1)
 

@@ -221,6 +221,14 @@ class TestRandomSearch:
         with pytest.raises(DomainError):
             random_search(f, UNCONSTRAINED, samples=0, seed=0)
 
+    def test_infeasible_count_rejected(self):
+        # the same error as exhaustive_oracle and random_feasible, where
+        # numpy's argpartition used to complain about kth
+        f = random_quadratic(4, 0)
+        with pytest.raises(DomainError, match="^exact-ones r=5 infeasible for n=4$"):
+            random_search(f, exact_ones(5), samples=3, seed=0)
+        assert int(np.sum(random_search(f, exact_ones(4), samples=3).optimum > 0)) == 4
+
     def test_blocks_match_single_block(self):
         # n=5000 takes 838 samples per block, so 1000 samples span two
         n = 5000

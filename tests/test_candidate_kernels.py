@@ -1,0 +1,159 @@
+"""Differential tests of the kernels that generate and score local-search
+candidates, against loop references kept here.
+
+The seeded outputs depend on every bit these kernels return: the random
+stream of the sampler, the order of the enumerated moves (the first of
+equally good moves wins) and the rounding of each delta. So each test
+asserts exact equality with its reference, never closeness.
+"""
+import itertools
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from dpcd import make_quadratic
+from dpcd.objectives import _DENSE_GATHER_LIMIT
+from dpcd.solver import _EVAL_CHUNK, _distinct_rows, _exhaustive_blocks
+
+
+def reference_flips_delta(A, c, x, flips):
+    """Single-flip deltas summed, plus 8*x_u*x_v*A_uv per pair in (u, v)
+    order, each pair's coefficients by a 2-D fancy gather."""
+    if sp.issparse(A):
+        A = A.tocsr()
+        gather = A.toarray() if A.shape[0] <= _DENSE_GATHER_LIMIT else A
+    else:
+        gather = A
+    s = x * (4.0 * A.diagonal() * x - 4.0 * (A @ x) - 2.0 * c)
+    xf = x[flips]
+    delta = s[flips].sum(axis=1)
+    j = flips.shape[1]
+    for u in range(j):
+        for v in range(u + 1, j):
+            avals = np.asarray(gather[flips[:, u], flips[:, v]]).ravel()
+            delta += 8.0 * xf[:, u] * xf[:, v] * avals
+    return delta
+
+
+def reference_distinct_rows(rng, pool, j, cnt):
+    """Floyd's draw with the earlier columns tested as one (cnt, t) block."""
+    size = len(pool)
+    rows = np.empty((cnt, j), dtype=np.intp)
+    for t in range(j):
+        top = size - j + t
+        draw = rng.integers(0, top + 1, cnt)
+        seen = (rows[:, :t] == draw[:, None]).any(axis=1)
+        rows[:, t] = np.where(seen, top, draw)
+    return pool[rows]
+
+
+def reference_moves(pools, j):
+    """Every radius-j move, one itertools.combinations subset per pool, the
+    first pool varying slowest."""
+    per_pool = [list(itertools.combinations(p.tolist(), j)) for p in pools]
+    return np.array([sum(parts, ()) for parts in itertools.product(*per_pool)],
+                    dtype=np.intp).reshape(-1, j * len(pools))
+
+
+def _symmetric(n, rng, sparse, density=0.3):
+    A = rng.standard_normal((n, n))
+    A = (A + A.T) / 2.0
+    A[np.diag_indices(n)] += 1.0
+    if not sparse:
+        return A
+    mask = rng.random((n, n)) < density
+    mask = np.triu(mask) | np.triu(mask).T
+    return sp.csr_array(A * (mask | np.eye(n, dtype=bool)))
+
+
+class TestFlipsDelta:
+    # dense input gathers from its own buffer at any n (C or F order); sparse
+    # input gathers from a dense copy up to the limit, from the CSR beyond it
+    @pytest.mark.parametrize("layout,n", [
+        ("dense", 12), ("fortran", 12), ("strided", 12), ("dense", _DENSE_GATHER_LIMIT + 1),
+        ("sparse", 12), ("sparse", _DENSE_GATHER_LIMIT), ("sparse", _DENSE_GATHER_LIMIT + 1),
+    ])
+    def test_matches_pair_loop(self, layout, n):
+        rng = np.random.default_rng(n)
+        A = _symmetric(n, rng, layout == "sparse", density=min(0.3, 20.0 / n))
+        if layout == "fortran":
+            A = np.asfortranarray(A)
+        elif layout == "strided":
+            A = np.repeat(np.repeat(A, 2, axis=0), 2, axis=1)[::2, ::2]
+            assert not (A.flags.c_contiguous or A.flags.f_contiguous)
+        c = rng.standard_normal(n)
+        f = make_quadratic(A, c)
+        signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        for x in (signs, rng.uniform(-1.0, 1.0, n)):
+            for j in range(1, 11):
+                flips = np.argsort(rng.random((60, n)), axis=1)[:, :j]
+                got = f.flips_delta(x, flips)
+                assert got.dtype == np.float64
+                assert np.array_equal(got, reference_flips_delta(A, c, x, flips)), j
+
+    def test_matches_pair_loop_on_candidate_blocks(self):
+        # the blocks the search really scores: sampled and enumerated moves,
+        # on the cube and on the slice
+        rng = np.random.default_rng(3)
+        n = 30
+        A, c = _symmetric(n, rng, False), rng.standard_normal(n)
+        f = make_quadratic(A, c)
+        x = np.where(np.arange(n) % 3 == 0, 1.0, -1.0)
+        plus, minus = np.nonzero(x > 0)[0], np.nonzero(x < 0)[0]
+        blocks = list(_exhaustive_blocks([plus, minus], 3))
+        blocks += list(_exhaustive_blocks([np.arange(n)], 3))
+        for j in range(1, 6):
+            blocks.append(np.concatenate([_distinct_rows(rng, p, j, 500)
+                                          for p in (plus, minus)], axis=1))
+        for flips in blocks:
+            assert np.array_equal(f.flips_delta(x, flips),
+                                  reference_flips_delta(A, c, x, flips))
+
+
+def _pool_cases():
+    cases = []
+    for j in range(1, 11):
+        for size in sorted({1, 2, j, j + 1, 40}):
+            if size >= j:
+                cases.append((size, j))
+    return cases
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("size,j", _pool_cases())
+    @pytest.mark.parametrize("cnt", [1, 500])
+    def test_matches_block_reference(self, size, j, cnt):
+        pool = np.arange(size) * 3 + 7
+        rng, ref = np.random.default_rng(size * 100 + j), np.random.default_rng(size * 100 + j)
+        got = _distinct_rows(rng, pool, j, cnt)
+        want = reference_distinct_rows(ref, pool, j, cnt)
+        assert got.dtype == want.dtype and got.shape == (cnt, j)
+        assert np.array_equal(got, want)
+        # the stream is left where the reference leaves it
+        assert rng.integers(0, 1 << 30) == ref.integers(0, 1 << 30)
+
+
+class TestExhaustiveBlocks:
+    @pytest.mark.parametrize("sizes,top", [
+        ((1,), 1), ((2,), 2), ((12,), 10), ((14,), 5),
+        ((0, 4), 0), ((1, 1), 1), ((1, 5), 1), ((2, 2), 2), ((3, 7), 3), ((10, 10), 10),
+        ((12, 13), 4),
+    ], ids=lambda v: str(v))
+    def test_matches_itertools(self, sizes, top):
+        rng = np.random.default_rng(sum(sizes))
+        perm = rng.permutation(sum(sizes))
+        pools = np.split(perm, np.cumsum(sizes)[:-1])
+        blocks = list(_exhaustive_blocks(pools, top))
+        assert all(0 < len(b) <= _EVAL_CHUNK for b in blocks)
+        assert all(b.dtype == np.intp for b in blocks)
+        rows = 0
+        for j in range(1, top + 1):
+            width = j * len(pools)
+            got = np.concatenate([b for b in blocks if b.shape[1] == width])
+            assert np.array_equal(got, reference_moves(pools, j)), j
+            rows += len(got)
+        # an empty pool (no +1 entry on the slice) leaves no move at all
+        assert sum(map(len, blocks)) == rows
+        widths = [b.shape[1] for b in blocks]
+        assert widths == sorted(widths)

@@ -5,6 +5,7 @@ shapes cannot drift from the documented ones. Exit-code policy: 0 success,
 1 numeric failure, 2 usage or input error.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -173,7 +174,8 @@ class TestSubgraph:
     @pytest.mark.parametrize("data,line", [
         (b"0 1\n1 2\xff\n", b"line 2: not UTF-8"),
         (b"0 1\n1 99999999999999999999\n", b"line 2: node id outside int64"),
-    ], ids=["non-utf8", "beyond-int64"])
+        (b"0 9223372036854775807\n", b"node id 9223372036854775807 too large"),
+    ], ids=["non-utf8", "beyond-int64", "key-overflow"])
     def test_unreadable_graph_is_an_input_error(self, tmp_path, data, line):
         path = tmp_path / "bad.txt"
         path.write_bytes(data)
@@ -375,6 +377,52 @@ class TestQuad:
         proc = run_cli("quad", "--n", 6, "--threshold-mode", "average")
         assert proc.returncode == 0, proc.stderr
         check_schema(json.loads(proc.stdout), "quad")
+
+
+def planted_edge_list(n=1600, k=40, p_in=0.5, m_out=6000, seed=2024) -> str:
+    """A dense k-block plus m_out uniform edges, drawn here so the pin below
+    does not move with the package's own generator."""
+    rng = np.random.default_rng(seed)
+    block = rng.choice(n, size=k, replace=False)
+    iu, ju = np.triu_indices(k, 1)
+    keep = rng.random(len(iu)) < p_in
+    u = np.concatenate([block[iu[keep]], rng.integers(0, n, m_out)])
+    v = np.concatenate([block[ju[keep]], rng.integers(0, n, m_out)])
+    edge = u != v
+    return "\n".join([f"#nodes {n}"] + [f"{a} {b}" for a, b in zip(u[edge], v[edge])]) + "\n"
+
+
+class TestSeededPins:
+    """SHA-256 of seeded documents, fixed when they were last known good.
+
+    The determinism tests compare two runs of one version; these compare
+    against earlier versions, so a change to the candidate kernels (move
+    order, sampler stream or delta rounding) shows here. The digests were
+    taken with numpy 2.4 and OpenBLAS on x86-64; another floating-point
+    stack may round differently and need them taken afresh.
+    """
+
+    @pytest.mark.parametrize("args,digest", [
+        (("--n", 12, "--seed", 3, "--constraint-r", 5),
+         "ffde08f91dccd077b187f9ef9ebedeb82b4c4e788ec5434dac31f84ba8f8020c"),
+        (("--n", 40, "--seed", 8),
+         "ef96af9485247dda456aa8c59642d0053867bbb4721af8843cb74651e370d2f5"),
+        (("--n", 64, "--seed", 11, "--constraint-r", 20),
+         "35cfd3981a5e2beb048f0432117f62f75b77fbcfedd62e9ae6e4f9938b961744"),
+    ], ids=["slice-exhaustive", "cube-sampled", "slice-sampled"])
+    def test_quad(self, args, digest):
+        proc = run_cli("quad", *args)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+    def test_subgraph_sparse_gather(self, tmp_path):
+        # n = 1600 is past the dense-gather limit of flips_delta
+        path = tmp_path / "planted.txt"
+        path.write_text(planted_edge_list())
+        proc = run_cli("subgraph", path, "--k", 40, "--seed", 5, "--baselines")
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == (
+            "fb7ee21ee234c4077877075d726790726ce1180135d1aa16ec765011703525d2")
 
 
 class TestOracle:

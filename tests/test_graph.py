@@ -344,6 +344,23 @@ class TestEdgeListText:
         with pytest.raises(ParseError, match="^line 1: non-numeric"):
             load_edge_list(b"99999999999999999999 1 x\n")
 
+    def test_node_count_bounded_for_edge_keys(self):
+        # edges merge on the int64 key lo * n + hi; these two distinct edges
+        # share it modulo 2**64 at n = 2**32 + 1 and used to merge silently
+        with pytest.raises(ParseError, match="^node id 4294967296 too large"):
+            load_edge_list(b"0 4294967295\n4294967295 4294967296\n")
+        with pytest.raises(ParseError, match="^node id 9223372036854775807 too large"):
+            load_edge_list(b"0 9223372036854775807\n")
+        with pytest.raises(ParseError, match="^declared node count 3037000500 exceeds"):
+            load_edge_list(b"#nodes 3037000500\n0 1\n")
+        # the largest count whose keys fit still loads, edges intact
+        top = graph_mod._MAX_NODES - 1
+        assert graph_mod._MAX_NODES ** 2 <= np.iinfo(np.int64).max
+        g = load_edge_list(f"0 {top}\n{top - 1} {top}\n0 {top} 2\n".encode())
+        assert g.n == top + 1
+        assert g.u.tolist() == [0, top - 1] and g.v.tolist() == [top, top]
+        assert g.w.tolist() == [3.0, 1.0]
+
     def test_text_stream_source(self):
         g = load_edge_list(io.StringIO("0 1 0.5\n1 2\n"))
         assert np.array_equal(g.w, [0.5, 1.0])
