@@ -21,6 +21,9 @@ from .core import (
     SolverReport,
     UNCONSTRAINED,
     UnsupportedConstraintError,
+    _checked_gradient,
+    _checked_value,
+    check_feasible,
     feasible_point,
     hamming_distance,
     random_feasible,
@@ -58,18 +61,15 @@ def sgm_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
         x = random_feasible(f.dimension, c, seed)
     else:
         x = feasible_point(initial_point, f.dimension, c, "initial point")
-    trajectory = [float(f.value(x))]
+    trajectory = [_checked_value(f, x, 0)]
     flips = []
     flags = ()
     converged = False
     previous = None
-    for _ in range(max_iterations):
-        g = np.asarray(f.gradient(x), dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient in signed-gradient iteration")
-        x_next = signs(-g)
+    for k in range(1, max_iterations + 1):
+        x_next = signs(-_checked_gradient(f, x, k))
         flips.append(hamming_distance(x, x_next))
-        trajectory.append(float(f.value(x_next)))
+        trajectory.append(_checked_value(f, x_next, k))
         if np.array_equal(x_next, x):
             converged = True
             x = x_next
@@ -97,13 +97,9 @@ def _feasible_blocks(n: int, c: ConstraintSpec):
     # yields (m, n) blocks of sign vectors covering the feasible set once
     if c.is_exact_ones:
         combos = itertools.combinations(range(n), c.r)
-        while True:
-            chunk = list(itertools.islice(combos, _CHUNK))
-            if not chunk:
-                return
+        for chunk in iter(lambda: list(itertools.islice(combos, _CHUNK)), []):
             X = -np.ones((len(chunk), n))
-            for row, support in enumerate(chunk):
-                X[row, list(support)] = 1.0
+            X[np.arange(len(chunk))[:, None], np.array(chunk, dtype=np.intp)] = 1.0
             yield X
     else:
         total = 1 << n
@@ -112,6 +108,48 @@ def _feasible_blocks(n: int, c: ConstraintSpec):
             idx = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
             bits = (idx[:, None] >> shifts) & 1
             yield bits.astype(float) * 2.0 - 1.0
+
+
+def _sampled_blocks(n: int, c: ConstraintSpec, samples: int, rng: np.random.Generator):
+    # uniform feasible rows in blocks; successive blocks continue one rng
+    # stream, so the first strict minimum does not depend on the block size
+    block = max(1, min(_CHUNK, BLOCK_ENTRIES // n))
+    for start in range(0, samples, block):
+        m = min(block, samples - start)
+        if c.is_exact_ones:
+            X = -np.ones((m, n))
+            keys = rng.random((m, n))
+            if c.r:
+                # the full (m, n) argpartition result dies with this statement
+                X[np.arange(m)[:, None], np.argpartition(keys, c.r - 1, axis=1)[:, :c.r]] = 1.0
+            del keys
+        else:
+            X = rng.integers(0, 2, size=(m, n)) * 2.0 - 1.0
+        yield X
+        del X  # before the next block is drawn
+
+
+def _best_of_blocks(f: Objective, blocks):
+    """(first row of least value, that value, the largest value, row count)
+    over the rows of every block; a non-finite value raises NumericError."""
+    best_x = None
+    best = math.inf
+    worst = -math.inf
+    count = 0
+    for X in blocks:
+        vals = f.values(X)
+        if not np.all(np.isfinite(vals)):
+            raise NumericError("baseline scan met a non-finite objective")
+        count += len(vals)
+        i = int(np.argmin(vals))
+        if vals[i] < best:
+            best = float(vals[i])
+            best_x = np.array(X[i])
+        worst = max(worst, float(vals.max()))
+        # free this block before the generator draws the next one
+        del X
+    best_x.flags.writeable = False
+    return best_x, best, worst, count
 
 
 def exhaustive_oracle(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
@@ -123,25 +161,8 @@ def exhaustive_oracle(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
     n = f.dimension
     if n > limit:
         raise DomainError(f"exhaustive search refused: dimension {n} exceeds limit {limit}")
-    if c.is_exact_ones and c.r > n:
-        raise DomainError(f"exact-ones r={c.r} infeasible for n={n}")
-    best_x = None
-    best = math.inf
-    worst = -math.inf
-    count = 0
-    for X in _feasible_blocks(n, c):
-        vals = f.values(X)
-        count += len(vals)
-        i = int(np.argmin(vals))
-        if vals[i] < best:
-            best = float(vals[i])
-            best_x = np.array(X[i])
-        high = float(vals.max())
-        if high > worst:
-            worst = high
-    if best_x is None:
-        raise DomainError("empty feasible set")
-    best_x.flags.writeable = False
+    check_feasible(n, c)
+    best_x, best, worst, count = _best_of_blocks(f, _feasible_blocks(n, c))
     return OracleResult(best_x, best, best, worst, count)
 
 
@@ -150,36 +171,11 @@ def random_search(f: Objective, c: ConstraintSpec, samples: int, seed=0) -> Orac
     sweep is partial."""
     if samples < 1:
         raise DomainError("samples must be >= 1")
-    n = f.dimension
-    if c.is_exact_ones and c.r > n:
-        raise DomainError(f"exact-ones r={c.r} infeasible for n={n}")
+    check_feasible(f.dimension, c)
     rng = np.random.default_rng(seed)
-    # successive blocks continue one rng stream, so the first strict
-    # minimum does not depend on the block size
-    block = max(1, min(_CHUNK, BLOCK_ENTRIES // n))
-    best_x = None
-    best = math.inf
-    remaining = samples
-    while remaining > 0:
-        m = min(remaining, block)
-        remaining -= m
-        if c.is_exact_ones:
-            X = -np.ones((m, n))
-            keys = rng.random((m, n))
-            if c.r:
-                # the full (m, n) argpartition result dies with this statement
-                X[np.arange(m)[:, None],
-                  np.argpartition(keys, c.r - 1, axis=1)[:, :c.r]] = 1.0
-            del keys
-        else:
-            X = rng.integers(0, 2, size=(m, n)) * 2.0 - 1.0
-        vals = f.values(X)
-        i = int(np.argmin(vals))
-        if vals[i] < best:
-            best = float(vals[i])
-            best_x = np.array(X[i])
-    best_x.flags.writeable = False
-    return OracleResult(best_x, best, best, None, samples)
+    best_x, best, _, count = _best_of_blocks(
+        f, _sampled_blocks(f.dimension, c, samples, rng))
+    return OracleResult(best_x, best, best, None, count)
 
 
 def greedy_peel(graph, k: int) -> BinaryVector:

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,28 +45,35 @@ from .solver import (
     step_bound,
 )
 
-_METHODS = ("dpcd", "dpcd0", "greedy", "random", "sgm")
+_METHODS = ("dpcd", "dpcd0", "greedy", "random")
+
+# solver flag dest -> SolverConfig field and help, for the fields that the
+# documents' config block reports besides the threshold policy
+_SOLVER_FLAGS = (
+    ("alpha1", "alpha1", "threshold multiplier of the +1 side"),
+    ("alpha2", "alpha2", "threshold multiplier of the -1 side"),
+    ("max_iters", "max_iterations", "iteration cap"),
+    ("nbr_cadence", "neighborhood_cadence", "local search every T iterations, 0 for none"),
+    ("nbr_radius", "neighborhood_radius", "flips (swap pairs on a slice) per search move"),
+    ("nbr_budget", "neighborhood_budget", "sampled candidates per search"),
+    ("nbr_patience", "neighborhood_patience", "fruitless sampled searches before a stop"),
+)
 
 
-def _solver_parent() -> argparse.ArgumentParser:
-    # one fresh parent per subcommand: set_defaults on a subcommand writes
-    # into these Action objects, which a shared parent would leak
+def _solver_parent(base: SolverConfig) -> argparse.ArgumentParser:
+    # every default is the subcommand's base config's value
     parent = argparse.ArgumentParser(add_help=False)
     g = parent.add_argument_group("solver")
-    g.add_argument("--alpha1", type=float, default=1.0)
-    g.add_argument("--alpha2", type=float, default=1.0)
-    g.add_argument("--epsilon", type=float, default=None,
+    for dest, name, text in _SOLVER_FLAGS:
+        default = getattr(base, name)
+        g.add_argument("--" + dest.replace("_", "-"), dest=dest, type=type(default),
+                       default=default, help=text + " (default %(default)s)")
+    policy = base.threshold_policy
+    g.add_argument("--threshold-mode", choices=[LIPSCHITZ, GRADIENT_AVERAGE],
+                   default=policy.mode, help="threshold policy (default %(default)s)")
+    g.add_argument("--epsilon", type=float, default=policy.epsilon,
                    help="threshold slack; defaults to max(1e-6, 1e-6*L0)")
-    g.add_argument("--threshold-mode", choices=["lipschitz", "average"],
-                   default="lipschitz")
-    g.add_argument("--max-iters", type=int, default=100,
-                   help="iteration cap (default 100; hash: 20)")
-    g.add_argument("--nbr-cadence", type=int, default=10,
-                   help="local search every T iterations (default 10; hash: 0)")
-    g.add_argument("--nbr-radius", type=int, default=5)
-    g.add_argument("--nbr-budget", type=int, default=10000)
-    g.add_argument("--nbr-patience", type=int, default=10)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, default=base.seed, help="random seed (default %(default)s)")
     return parent
 
 
@@ -78,16 +86,9 @@ def _output_parent(timings: bool = True) -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> SolverConfig:
-    mode = LIPSCHITZ if args.threshold_mode == "lipschitz" else GRADIENT_AVERAGE
     return SolverConfig(
-        alpha1=args.alpha1,
-        alpha2=args.alpha2,
-        max_iterations=args.max_iters,
-        neighborhood_cadence=args.nbr_cadence,
-        neighborhood_radius=args.nbr_radius,
-        neighborhood_budget=args.nbr_budget,
-        neighborhood_patience=args.nbr_patience,
-        threshold_policy=ThresholdPolicy(mode=mode, epsilon=args.epsilon),
+        **{name: getattr(args, dest) for dest, name, _ in _SOLVER_FLAGS},
+        threshold_policy=ThresholdPolicy(mode=args.threshold_mode, epsilon=args.epsilon),
         seed=args.seed,
     )
 
@@ -97,13 +98,7 @@ def _solve_fields(cfg: SolverConfig, report) -> dict:
     return {
         "seed": cfg.seed,
         "config": {
-            "alpha1": cfg.alpha1,
-            "alpha2": cfg.alpha2,
-            "max_iterations": cfg.max_iterations,
-            "neighborhood_cadence": cfg.neighborhood_cadence,
-            "neighborhood_radius": cfg.neighborhood_radius,
-            "neighborhood_budget": cfg.neighborhood_budget,
-            "neighborhood_patience": cfg.neighborhood_patience,
+            **{name: getattr(cfg, name) for _, name, _ in _SOLVER_FLAGS},
             "threshold_mode": cfg.threshold_policy.mode,
             "epsilon": cfg.threshold_policy.epsilon,
         },
@@ -184,14 +179,9 @@ def _labels(raw: np.ndarray) -> np.ndarray:
 
 
 def cmd_hash(args) -> int:
-    if args.code_length < 1:
-        raise DomainError("code length must be >= 1")
     cfg = _config_from(args)
     X = hash_mod.load_matrix(args.features)
     labels = _labels(hash_mod.load_matrix(args.labels))
-    if X.shape[0] != labels.shape[0]:
-        raise DomainError(
-            f"features have {X.shape[0]} rows, labels {labels.shape[0]}")
     # class ids train against one-hot rows
     Y = (labels if labels.ndim == 2
          else (labels[:, None] == np.unique(labels)[None, :]).astype(float))
@@ -249,14 +239,15 @@ def _problem(args, missing: str):
     --constraint-r override. `missing` is the error when there is no input."""
     rng = np.random.default_rng(args.seed)
     constraint = UNCONSTRAINED
+    separable = getattr(args, "separable", False)
     if args.problem is not None:
         objective, constraint = _quad_from_file(args.problem)
-    elif getattr(args, "separable", False):
-        if args.n is None:
-            raise DomainError("--separable needs --n")
-        objective = make_shifted_separable(rng.uniform(0.05, 0.95, size=args.n))
     elif args.n is None:
-        raise DomainError(missing)
+        raise DomainError("--separable needs --n" if separable else missing)
+    elif args.n < 1:
+        raise DomainError(f"--n must be >= 1, got {args.n}")
+    elif separable:
+        objective = make_shifted_separable(rng.uniform(0.05, 0.95, size=args.n))
     else:
         A = rng.standard_normal((args.n, args.n))
         objective = make_quadratic((A + A.T) / 2.0, rng.standard_normal(args.n), 0.0)
@@ -306,7 +297,7 @@ def cmd_oracle(args) -> int:
         "bound_satisfied": bool(report.iterations <= bound),
     }
     if objective.coeff_abs_sum is not None:
-        doc["coefficient_bound"] = objective.coeff_abs_sum / eps
+        doc["coefficient_bound"] = step_bound(objective, constraint, eps)
     _emit(args, doc)
     return 0
 
@@ -327,17 +318,16 @@ def _bench_subgraph(args, writer) -> None:
             t0 = time.perf_counter()
             if method in ("dpcd", "dpcd0"):
                 # dpcd0 is the same solve with the local search switched off
-                cfg = SolverConfig(seed=solver_seed,
-                                   neighborhood_cadence=0 if method == "dpcd0" else 10)
+                cfg = SolverConfig(seed=solver_seed)
+                if method == "dpcd0":
+                    cfg = replace(cfg, neighborhood_cadence=0)
                 value = dpcd_solve(objective, constraint, cfg).final_value - g.total_weight
             elif method == "greedy":
                 sel = greedy_peel(g, args.k)
                 value = objective.value(sel) - g.total_weight
-            elif method == "random":
+            else:
                 best = random_search(objective, constraint, samples=10000, seed=sample_seed)
                 value = best.optimal_value - g.total_weight
-            else:  # sgm cannot hold the cardinality constraint
-                continue
             rows.append((instance, method, value, time.perf_counter() - t0))
         for row in sorted(rows):
             writer(row)
@@ -360,8 +350,7 @@ def _bench_scaling(args, writer) -> None:
 
 # the flags each bench suite reads, with their defaults
 _BENCH_DEFAULTS = {
-    "subgraph": {"methods": ["dpcd", "dpcd0", "greedy", "random"],
-                 "n": 150, "k": 10, "instances": 3},
+    "subgraph": {"methods": list(_METHODS), "n": 150, "k": 10, "instances": 3},
     "scaling": {"methods": ["dpcd"], "sizes": [2000, 8000, 32000]},
 }
 
@@ -380,6 +369,9 @@ def cmd_bench(args) -> int:
             raise DomainError(f"unknown method {m!r}; known: {', '.join(_METHODS)}")
         if args.suite == "scaling" and m != "dpcd":
             raise DomainError(f"--methods: the scaling suite runs only dpcd, not {m!r}")
+    for size in args.sizes or ():
+        if size < 1:
+            raise DomainError(f"--sizes entries must be >= 1, got {size}")
     lines = ["instance,method,value,time"]
 
     def writer(row):
@@ -400,9 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="binary optimization by principal coordinate descent")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def solve_command(name, text, timings=True):
+    def solve_command(name, text, base=SolverConfig(), timings=True):
         return sub.add_parser(name, help=text, parents=[
-            _output_parent(timings), _solver_parent()])
+            _output_parent(timings), _solver_parent(base)])
 
     p = solve_command("subgraph", "densest-k-subgraph on a graph file")
     p.add_argument("graph", help="edge list or MatrixMarket path, '-' for stdin")
@@ -412,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baselines", action="store_true")
     p.set_defaults(func=cmd_subgraph)
 
-    p = solve_command("hash", "learn binary codes and optionally score retrieval")
+    p = solve_command("hash", "learn binary codes and optionally score retrieval",
+                      hash_mod.CODE_STEP)
     p.add_argument("features")
     p.add_argument("labels")
     p.add_argument("--code-length", type=int, required=True)
@@ -421,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval", default=None, help="query feature file")
     p.add_argument("--eval-labels", default=None)
     p.add_argument("--topk", type=int, default=50)
-    p.set_defaults(func=cmd_hash, nbr_cadence=0, max_iters=20)
+    p.set_defaults(func=cmd_hash)
 
     p = solve_command("quad", "solve a quadratic problem file or a seeded instance")
     p.add_argument("--problem", default=None, help="JSON file with A, c, optional d, r")

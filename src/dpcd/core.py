@@ -183,13 +183,15 @@ def hamming_distance(y: BinaryVector, z: BinaryVector) -> int:
     return int(np.count_nonzero(np.asarray(y) != np.asarray(z)))
 
 
+def check_feasible(n: int, c: ConstraintSpec) -> None:
+    """Raise DomainError when no sign vector of length n satisfies c."""
+    if c.is_exact_ones and c.r > n:
+        raise DomainError(f"exact-ones r={c.r} infeasible for n={n}")
+
+
 def constraint_check(x: BinaryVector, c: ConstraintSpec) -> bool:
-    if not c.is_exact_ones:
-        return True
-    n = len(x)
-    if c.r > n:
-        raise DomainError(f"exact-ones r={c.r} exceeds dimension {n}")
-    return int(np.sum(np.asarray(x) > 0)) == c.r
+    check_feasible(len(x), c)
+    return not c.is_exact_ones or int(np.sum(np.asarray(x) > 0)) == c.r
 
 
 def feasible_point(x, n: int, c: ConstraintSpec, what: str = "point") -> np.ndarray:
@@ -214,10 +216,9 @@ def random_feasible(n: int, c: ConstraintSpec, seed) -> BinaryVector:
     """
     if n < 1:
         raise DomainError("n must be >= 1")
+    check_feasible(n, c)
     rng = np.random.default_rng(seed)
     if c.is_exact_ones:
-        if c.r > n:
-            raise DomainError(f"exact-ones r={c.r} infeasible for n={n}")
         x = -np.ones(n)
         # permutation prefix is a uniform r-subset
         x[rng.permutation(n)[: c.r]] = 1.0
@@ -225,3 +226,23 @@ def random_feasible(n: int, c: ConstraintSpec, seed) -> BinaryVector:
         x = rng.integers(0, 2, size=n) * 2.0 - 1.0
     x.flags.writeable = False
     return x
+
+
+def _checked_value(f: Objective, x, iteration: int) -> float:
+    try:
+        v = float(f.value(x))
+    except (ArithmeticError, FloatingPointError) as e:
+        raise NumericError(f"objective failed at iteration {iteration}: {e}") from e
+    if not np.isfinite(v):
+        raise NumericError(f"non-finite objective value at iteration {iteration}")
+    return v
+
+
+def _checked_gradient(f: Objective, x, iteration: int) -> np.ndarray:
+    try:
+        g = np.asarray(f.gradient(x), dtype=float)
+    except (ArithmeticError, FloatingPointError) as e:
+        raise NumericError(f"gradient failed at iteration {iteration}: {e}") from e
+    if not np.all(np.isfinite(g)):
+        raise NumericError(f"non-finite gradient at iteration {iteration}")
+    return g

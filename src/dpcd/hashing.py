@@ -29,6 +29,10 @@ from .solver import SolverConfig, dpcd_solve
 
 _MAGIC = b"DPCDMAT1"
 
+# the code step alternating_hash runs when given no inner config: no
+# neighborhood search, so a round costs time linear in the sample count
+CODE_STEP = SolverConfig(max_iterations=20, neighborhood_cadence=0)
+
 
 @dataclass(frozen=True)
 class HashModel:
@@ -107,9 +111,7 @@ def alternating_hash(X: np.ndarray, Y: np.ndarray, r: int,
     the B half-step. The W solve is exact, and under the Lipschitz
     threshold policy the B step descends too, so the recorded history never
     increases. Under average thresholds the B step can raise the loss, and
-    so can the history (ROADMAP item 1). The code step runs without a
-    neighborhood search by default, which keeps the per-round cost linear
-    in the sample count.
+    so can the history (ROADMAP item 1). `inner` defaults to CODE_STEP.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -130,7 +132,7 @@ def alternating_hash(X: np.ndarray, Y: np.ndarray, r: int,
         if not np.all(np.abs(B) == 1.0):
             raise DomainError("initial codes must be sign matrices")
     if inner is None:
-        inner = SolverConfig(max_iterations=20, neighborhood_cadence=0)
+        inner = CODE_STEP
     problem = HashingProblem(Y=Y, lam=lam, r=r)
 
     history = []
@@ -247,7 +249,11 @@ def load_matrix_binary(path) -> np.ndarray:
     expected = rows * cols * 8
     if len(payload) != expected:
         raise ParseError(f"payload holds {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+    M = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+    bad = np.flatnonzero(~np.isfinite(M).all(axis=1))
+    if bad.size:
+        raise ParseError(f"row {bad[0]} (from 0): non-finite entry")
+    return M
 
 
 def _undecodable_line(path) -> int:
@@ -294,7 +300,11 @@ def load_matrix_csv(path) -> np.ndarray:
         elif len(row) != width:
             raise ParseError(f"line {i}: expected {width} columns, got {len(row)}")
         rows.append(row)
-    return np.array(rows)
+    M = np.array(rows)
+    bad = np.flatnonzero(~np.isfinite(M).all(axis=1))
+    if bad.size:
+        raise ParseError(f"line {lines[start + bad[0]][0]}: non-finite field")
+    return M
 
 
 def load_matrix(path) -> np.ndarray:

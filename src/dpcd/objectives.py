@@ -80,13 +80,10 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
     sparse = sp.issparse(A)
     if sparse:
         A = A.tocsr()
-        row_abs = np.asarray(np.abs(A).sum(axis=1)).ravel()
-        total_abs = float(np.abs(A).sum())
-        gather = A.toarray() if n <= _DENSE_GATHER_LIMIT else A
-    else:
-        row_abs = np.abs(A).sum(axis=1)
-        total_abs = float(np.abs(A).sum())
-        gather = A
+    abs_A = np.abs(A)
+    row_abs = np.asarray(abs_A.sum(axis=1)).ravel()
+    total_abs = float(abs_A.sum())
+    gather = A.toarray() if sparse and n <= _DENSE_GATHER_LIMIT else A
     diag = A.diagonal()
     lipschitz = 2.0 * float(row_abs.max()) if n else 0.0
 

@@ -28,6 +28,8 @@ from .core import (
     Objective,
     SolverReport,
     UNCONSTRAINED,
+    _checked_gradient,
+    _checked_value,
     feasible_point,
     hamming_distance,
     random_feasible,
@@ -321,26 +323,6 @@ def neighborhood_search(x: BinaryVector, f: Objective, c: ConstraintSpec,
     return y
 
 
-def _checked_value(f: Objective, x, iteration: int) -> float:
-    try:
-        v = float(f.value(x))
-    except (ArithmeticError, FloatingPointError) as e:
-        raise NumericError(f"objective failed at iteration {iteration}: {e}") from e
-    if not np.isfinite(v):
-        raise NumericError(f"non-finite objective value at iteration {iteration}")
-    return v
-
-
-def _checked_gradient(f: Objective, x, iteration: int) -> np.ndarray:
-    try:
-        g = np.asarray(f.gradient(x), dtype=float)
-    except (ArithmeticError, FloatingPointError) as e:
-        raise NumericError(f"gradient failed at iteration {iteration}: {e}") from e
-    if not np.all(np.isfinite(g)):
-        raise NumericError(f"non-finite gradient at iteration {iteration}")
-    return g
-
-
 def dpcd_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
                cfg: SolverConfig = None, initial_point: Optional[BinaryVector] = None,
                callback=None) -> SolverReport:
@@ -381,15 +363,12 @@ def dpcd_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
             x_next = unconstrained_flip(x, sets)
         principal_flips = hamming_distance(x, x_next)
 
-        searched = False
+        moved = principal_flips
         exhaustive = False
         if cadence > 0 and (k % cadence == 0 or principal_flips == 0):
             x_next, exhaustive = _explore_neighborhood(
                 x_next, f, c, cfg.neighborhood_radius, cfg.neighborhood_budget, rng)
-            searched = True
-
-        # without a search x_next is the principal result already counted
-        moved = hamming_distance(x, x_next) if searched else principal_flips
+            moved = hamming_distance(x, x_next)
         flips_per_iteration.append(moved)
         trajectory.append(_checked_value(f, x_next, k))
         x = x_next
@@ -399,14 +378,14 @@ def dpcd_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
         if moved > 0:
             stall = 0
             continue
-        if cadence == 0 or (searched and exhaustive):
+        # with a cadence above 0, an iteration that moved nothing searched
+        if cadence == 0 or exhaustive:
             converged = True
             break
-        if searched and not exhaustive:
-            stall += 1
-            if stall >= cfg.neighborhood_patience:
-                converged = True
-                break
+        stall += 1
+        if stall >= cfg.neighborhood_patience:
+            converged = True
+            break
 
     return SolverReport(
         final_point=x,

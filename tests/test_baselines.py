@@ -1,14 +1,19 @@
 """Reference solvers: signed-gradient descent, exhaustive search, peeling."""
+import dataclasses
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from dpcd import (DimensionError, DomainError, SolverConfig, SparseGraph, UNCONSTRAINED,
-                  UnsupportedConstraintError, binary_vector, dpcd_solve,
+from dpcd import (DimensionError, DomainError, NumericError, SolverConfig, SparseGraph,
+                  UNCONSTRAINED, UnsupportedConstraintError, binary_vector, dpcd_solve,
                   exact_ones, exhaustive_oracle, greedy_peel,
                   make_dense_subgraph, make_quadratic, make_shifted_separable,
                   planted_partition, random_search, sgm_solve)
+
+from dpcd.baselines import _feasible_blocks
 
 from conftest import random_quadratic
 
@@ -42,6 +47,12 @@ def single_block_search(f, c, samples, seed):
     vals = f.values(X)
     i = int(np.argmin(vals))
     return X[i], float(vals[i])
+
+
+def nan_valued(f):
+    """f with every value NaN; the gradient is left finite."""
+    return dataclasses.replace(f, value=lambda x: float("nan"),
+                               value_batch=lambda X: np.full(len(X), np.nan))
 
 
 def random_graph(n, edges, weights, seed):
@@ -102,6 +113,10 @@ class TestSgm:
         with pytest.raises(error):
             sgm_solve(random_quadratic(6, 1), initial_point=x0)
 
+    def test_non_finite_value_raises(self):
+        with pytest.raises(NumericError, match="iteration 0"):
+            sgm_solve(nan_valued(random_quadratic(6, 1)))
+
 
 class TestExhaustiveOracle:
     def test_separable_optimum(self):
@@ -130,6 +145,21 @@ class TestExhaustiveOracle:
             assert best <= dp.final_value + 1e-9
             assert best <= sg.final_value + 1e-9
             assert best <= rs.optimal_value + 1e-9
+
+    def test_non_finite_value_raises(self):
+        for c in (UNCONSTRAINED, exact_ones(3)):
+            with pytest.raises(NumericError):
+                exhaustive_oracle(nan_valued(random_quadratic(6, 1)), c)
+
+    @pytest.mark.parametrize("n,r", [(6, 0), (6, 1), (6, 6), (20, 10)])
+    def test_slice_blocks_match_combinations(self, n, r):
+        # C(20, 10) = 184756 rows span three blocks
+        want = -np.ones((math.comb(n, r), n))
+        for row, support in enumerate(itertools.combinations(range(n), r)):
+            want[row, list(support)] = 1.0
+        blocks = list(_feasible_blocks(n, exact_ones(r)))
+        assert len(blocks) == math.ceil(len(want) / 65536)
+        assert np.array_equal(np.concatenate(blocks), want)
 
     def test_limit_refusal(self):
         f = random_quadratic(21, 0)
@@ -215,6 +245,11 @@ class TestRandomSearch:
         f = random_quadratic(10, 8)
         res = random_search(f, exact_ones(4), samples=100, seed=2)
         assert int(np.sum(res.optimum > 0)) == 4
+
+    def test_non_finite_value_raises(self):
+        for c in (UNCONSTRAINED, exact_ones(3)):
+            with pytest.raises(NumericError):
+                random_search(nan_valued(random_quadratic(6, 1)), c, samples=10)
 
     def test_sample_validation(self):
         f = random_quadratic(4, 0)

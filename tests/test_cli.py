@@ -5,6 +5,7 @@ shapes cannot drift from the documented ones. Exit-code policy: 0 success,
 1 numeric failure, 2 usage or input error.
 """
 
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -14,7 +15,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from dpcd import cli, hashing, save_matrix_binary
+from dpcd import SolverConfig, cli, hashing, save_matrix_binary
 
 SCHEMA = json.loads(resources.files("dpcd").joinpath("schema.json").read_text())
 
@@ -278,6 +279,23 @@ class TestHash:
         assert [cfg.max_iterations for cfg in seen] == [cap]
         assert seen[0].neighborhood_cadence == 0
 
+    @pytest.mark.parametrize("which", range(4),
+                             ids=["features", "labels", "eval", "eval-labels"])
+    def test_non_finite_input_rejected(self, hash_files, tmp_path, which):
+        feat, lab, X, labels = hash_files
+        nan_features = tmp_path / "nan.bin"
+        X = X.copy()
+        X[1, 1] = np.nan
+        save_matrix_binary(nan_features, X)
+        inf_labels = tmp_path / "inf.csv"
+        inf_labels.write_text("\n".join(["0", "0", "inf"] + [str(v) for v in labels[3:]]))
+        files = [feat, lab, feat, lab]
+        files[which] = (nan_features, inf_labels)[which % 2]
+        proc = run_cli("hash", files[0], files[1], "--code-length", 4,
+                       "--eval", files[2], "--eval-labels", files[3], "--topk", 3)
+        assert proc.returncode == 2, proc.stderr
+        assert b"non-finite" in proc.stderr
+
     def test_deterministic_output(self, hash_files):
         feat, lab, _, _ = hash_files
         a = run_cli("hash", feat, lab, "--code-length", 4, "--seed", 9)
@@ -373,15 +391,53 @@ class TestQuad:
         assert config["max_iterations"] == 100
         assert config["neighborhood_cadence"] == 10
 
+    def test_solver_defaults_are_the_configs(self, hash_files, triangle_path,
+                                             monkeypatch, capsys):
+        # quad and subgraph report SolverConfig's defaults; hash hands
+        # alternating_hash its own code-step config
+        want = SolverConfig()
+        fields = {f.name for f in dataclasses.fields(SolverConfig)}
+        for argv in (["quad", "--n", "4"], ["subgraph", str(triangle_path), "--k", "1"]):
+            assert cli.main(argv) == 0
+            config = json.loads(capsys.readouterr().out)["config"]
+            policy = config.pop("threshold_mode"), config.pop("epsilon")
+            assert policy == (want.threshold_policy.mode, want.threshold_policy.epsilon)
+            assert config == {k: getattr(want, k) for k in fields - {"threshold_policy", "seed"}}
+        seen = []
+        real = hashing.alternating_hash
+
+        def spy(*args, inner, **kwargs):
+            seen.append(inner)
+            return real(*args, inner=inner, **kwargs)
+
+        monkeypatch.setattr(hashing, "alternating_hash", spy)
+        feat, lab, _, _ = hash_files
+        assert cli.main(["hash", str(feat), str(lab), "--code-length", "4"]) == 0
+        capsys.readouterr()
+        assert seen == [hashing.CODE_STEP]
+
+    @pytest.mark.parametrize("argv", [
+        ("quad", "--n", -1),
+        ("oracle", "--separable", "--n", -2),
+        ("bench", "--suite", "scaling", "--sizes", "-3"),
+    ])
+    def test_sizes_below_one_rejected(self, argv):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2, proc.stderr
+        assert b">= 1" in proc.stderr
+        assert b"Traceback" not in proc.stderr
+
     def test_average_threshold_mode(self):
         proc = run_cli("quad", "--n", 6, "--threshold-mode", "average")
         assert proc.returncode == 0, proc.stderr
         check_schema(json.loads(proc.stdout), "quad")
 
 
-def planted_edge_list(n=1600, k=40, p_in=0.5, m_out=6000, seed=2024) -> str:
-    """A dense k-block plus m_out uniform edges, drawn here so the pin below
-    does not move with the package's own generator."""
+def planted_edge_list(n=1600, k=40, p_in=0.5, m_out=6000, seed=2024,
+                      weighted=False) -> str:
+    """A dense k-block plus m_out uniform edges, drawn here so the pins below
+    do not move with the package's own generator; weighted draws each
+    weight uniformly from [0.5, 2)."""
     rng = np.random.default_rng(seed)
     block = rng.choice(n, size=k, replace=False)
     iu, ju = np.triu_indices(k, 1)
@@ -389,7 +445,11 @@ def planted_edge_list(n=1600, k=40, p_in=0.5, m_out=6000, seed=2024) -> str:
     u = np.concatenate([block[iu[keep]], rng.integers(0, n, m_out)])
     v = np.concatenate([block[ju[keep]], rng.integers(0, n, m_out)])
     edge = u != v
-    return "\n".join([f"#nodes {n}"] + [f"{a} {b}" for a, b in zip(u[edge], v[edge])]) + "\n"
+    lines = [f"{a} {b}" for a, b in zip(u[edge], v[edge])]
+    if weighted:
+        lines = [f"{line} {float(w)!r}"
+                 for line, w in zip(lines, rng.uniform(0.5, 2.0, len(lines)))]
+    return "\n".join([f"#nodes {n}"] + lines) + "\n"
 
 
 class TestSeededPins:
@@ -423,6 +483,28 @@ class TestSeededPins:
         assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(proc.stdout).hexdigest() == (
             "fb7ee21ee234c4077877075d726790726ce1180135d1aa16ec765011703525d2")
+
+    def test_subgraph_weighted_baselines(self, tmp_path):
+        # non-integer weights, so random_search's values are not integer-exact
+        path = tmp_path / "weighted.txt"
+        path.write_text(planted_edge_list(n=300, k=20, m_out=900, seed=7, weighted=True))
+        proc = run_cli("subgraph", path, "--k", 20, "--seed", 2, "--baselines")
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == (
+            "240d85dc371ea1227de093e48e193826742f0e04490f121d259fa0b352d71851")
+
+    @pytest.mark.parametrize("args,digest", [
+        (("--n", 14, "--constraint-r", 7, "--seed", 3),
+         "ee3c3c29f9a08d4d64bb5f5376a8b912951d42eb719887b03b2024c00cf80f98"),
+        (("--n", 16, "--seed", 2),
+         "ff3c53a93fee8679f1b532792222c3cc19100141e19be23defceea0eb102eae3"),
+        (("--separable", "--n", 10, "--constraint-r", 4),
+         "cd08855df72560460e5dd76ad09ef6e5ed6acb79dfc4057e05bd718f1855be28"),
+    ], ids=["slice", "cube", "separable-slice"])
+    def test_oracle(self, args, digest):
+        proc = run_cli("oracle", *args)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 class TestOracle:
@@ -512,11 +594,12 @@ class TestBench:
         second = self._rows(run_cli(*args).stdout)
         assert [r[:3] for r in first] == [r[:3] for r in second]
 
-    def test_sgm_skipped_under_cardinality(self):
+    def test_sgm_is_not_a_method(self):
+        # the subgraph suite cannot run sgm under its cardinality constraint
         proc = run_cli("bench", "--suite", "subgraph", "--n", 20, "--k", 4,
                        "--instances", 1, "--methods", "sgm")
-        assert proc.returncode == 0
-        assert self._rows(proc.stdout) == []
+        assert proc.returncode == 2
+        assert b"unknown method 'sgm'" in proc.stderr
 
     def test_scaling_suite(self):
         proc = run_cli("bench", "--suite", "scaling",

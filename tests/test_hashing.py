@@ -339,6 +339,21 @@ class TestMatrixFiles:
         assert np.array_equal(load_matrix_csv(headed), want)
         assert np.array_equal(load_matrix(plain), want)
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-Infinity"])
+    def test_csv_non_finite_names_the_line(self, tmp_path, field):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"x,y\n1,2\n\n3,{field}\n5,6\n")
+        with pytest.raises(ParseError, match="^line 4: non-finite field$"):
+            load_matrix_csv(p)
+
+    def test_binary_non_finite_names_the_row(self, tmp_path, rng):
+        M = rng.standard_normal((5, 3))
+        M[3, 1] = np.nan
+        p = tmp_path / "m.mat"
+        save_matrix_binary(p, M)
+        with pytest.raises(ParseError, match="^row 3 .*non-finite entry"):
+            load_matrix(p)
+
     def test_csv_width_mismatch(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("1,2\n3\n")
