@@ -4,7 +4,6 @@ random search, and greedy peeling for the dense-subgraph task."""
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -16,11 +15,11 @@ from .core import (
     BinaryVector,
     ConstraintSpec,
     DomainError,
-    NumericError,
     Objective,
     SolverReport,
     UNCONSTRAINED,
     UnsupportedConstraintError,
+    _best_of_blocks,
     _checked_gradient,
     _checked_value,
     check_feasible,
@@ -129,29 +128,6 @@ def _sampled_blocks(n: int, c: ConstraintSpec, samples: int, rng: np.random.Gene
         del X  # before the next block is drawn
 
 
-def _best_of_blocks(f: Objective, blocks):
-    """(first row of least value, that value, the largest value, row count)
-    over the rows of every block; a non-finite value raises NumericError."""
-    best_x = None
-    best = math.inf
-    worst = -math.inf
-    count = 0
-    for X in blocks:
-        vals = f.values(X)
-        if not np.all(np.isfinite(vals)):
-            raise NumericError("baseline scan met a non-finite objective")
-        count += len(vals)
-        i = int(np.argmin(vals))
-        if vals[i] < best:
-            best = float(vals[i])
-            best_x = np.array(X[i])
-        worst = max(worst, float(vals.max()))
-        # free this block before the generator draws the next one
-        del X
-    best_x.flags.writeable = False
-    return best_x, best, worst, count
-
-
 def exhaustive_oracle(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
                       limit: int = 20) -> OracleResult:
     """Enumerate the feasible set; exact minimum plus both extremes.
@@ -162,7 +138,7 @@ def exhaustive_oracle(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
     if n > limit:
         raise DomainError(f"exhaustive search refused: dimension {n} exceeds limit {limit}")
     check_feasible(n, c)
-    best_x, best, worst, count = _best_of_blocks(f, _feasible_blocks(n, c))
+    best_x, best, worst, count = _best_of_blocks(f.values, _feasible_blocks(n, c))
     return OracleResult(best_x, best, best, worst, count)
 
 
@@ -174,7 +150,7 @@ def random_search(f: Objective, c: ConstraintSpec, samples: int, seed=0) -> Orac
     check_feasible(f.dimension, c)
     rng = np.random.default_rng(seed)
     best_x, best, _, count = _best_of_blocks(
-        f, _sampled_blocks(f.dimension, c, samples, rng))
+        f.values, _sampled_blocks(f.dimension, c, samples, rng))
     return OracleResult(best_x, best, best, None, count)
 
 

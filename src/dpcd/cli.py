@@ -13,6 +13,7 @@ fields, and the bench CSV time column is inherently run-dependent.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -46,6 +47,11 @@ from .solver import (
 )
 
 _METHODS = ("dpcd", "dpcd0", "greedy", "random")
+
+_RANDOM_SAMPLES = 10000  # draws of the random-search baseline
+# hash --lambda/--outer and oracle --limit take their defaults from these
+_HASH_PARAMS = inspect.signature(hash_mod.alternating_hash).parameters
+_ORACLE_PARAMS = inspect.signature(exhaustive_oracle).parameters
 
 # solver flag dest -> SolverConfig field and help, for the fields that the
 # documents' config block reports besides the threshold policy
@@ -162,7 +168,7 @@ def cmd_subgraph(args) -> int:
     if args.baselines:
         peel = greedy_peel(g, args.k)
         peel_sel = np.nonzero(np.asarray(peel) > 0)[0]
-        rnd = random_search(objective, constraint, samples=10000, seed=args.seed + 1)
+        rnd = random_search(objective, constraint, _RANDOM_SAMPLES, seed=args.seed + 1)
         rnd_sel = np.nonzero(np.asarray(rnd.optimum) > 0)[0]
         doc["baselines"] = {
             "greedy_density": graph_mod.density(g, peel_sel),
@@ -326,7 +332,7 @@ def _bench_subgraph(args, writer) -> None:
                 sel = greedy_peel(g, args.k)
                 value = objective.value(sel) - g.total_weight
             else:
-                best = random_search(objective, constraint, samples=10000, seed=sample_seed)
+                best = random_search(objective, constraint, _RANDOM_SAMPLES, seed=sample_seed)
                 value = best.optimal_value - g.total_weight
             rows.append((instance, method, value, time.perf_counter() - t0))
         for row in sorted(rows):
@@ -369,9 +375,10 @@ def cmd_bench(args) -> int:
             raise DomainError(f"unknown method {m!r}; known: {', '.join(_METHODS)}")
         if args.suite == "scaling" and m != "dpcd":
             raise DomainError(f"--methods: the scaling suite runs only dpcd, not {m!r}")
-    for size in args.sizes or ():
-        if size < 1:
-            raise DomainError(f"--sizes entries must be >= 1, got {size}")
+    if args.instances is not None and args.instances < 1:
+        raise DomainError(f"--instances must be >= 1, got {args.instances}")
+    if args.sizes is not None and min(args.sizes, default=0) < 1:
+        raise DomainError(f"--sizes needs one or more entries, each >= 1, got {args.sizes}")
     lines = ["instance,method,value,time"]
 
     def writer(row):
@@ -409,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("features")
     p.add_argument("labels")
     p.add_argument("--code-length", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--outer", type=int, default=5)
+    p.add_argument("--lambda", dest="lam", type=float, default=_HASH_PARAMS["lam"].default)
+    p.add_argument("--outer", type=int, default=_HASH_PARAMS["outer_iterations"].default)
     p.add_argument("--eval", default=None, help="query feature file")
     p.add_argument("--eval-labels", default=None)
     p.add_argument("--topk", type=int, default=50)
@@ -428,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separable", action="store_true",
                    help="use the shifted separable diagnostic instead of a quadratic")
     p.add_argument("--constraint-r", type=int, default=None)
-    p.add_argument("--limit", type=int, default=20)
+    p.add_argument("--limit", type=int, default=_ORACLE_PARAMS["limit"].default)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("bench", help="run a method grid, emit CSV")

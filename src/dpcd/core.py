@@ -8,6 +8,7 @@ that one solver can drive every problem family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -226,6 +227,39 @@ def random_feasible(n: int, c: ConstraintSpec, seed) -> BinaryVector:
         x = rng.integers(0, 2, size=n) * 2.0 - 1.0
     x.flags.writeable = False
     return x
+
+
+def _flipped(x, idx) -> BinaryVector:
+    """Read-only copy of x with the entries at idx negated."""
+    y = np.array(x)
+    y[idx] *= -1.0
+    y.flags.writeable = False
+    return y
+
+
+def _best_of_blocks(score: Callable[[np.ndarray], np.ndarray], blocks, bar: float = math.inf):
+    """(row, its score, the largest score, row count) over the rows of
+    every block. row is a read-only copy of the first row that scores
+    strictly below bar and below every earlier row, None when no row does
+    (its score is then bar); a non-finite score raises NumericError."""
+    best_row = None
+    best = bar
+    worst = -math.inf
+    count = 0
+    for X in blocks:
+        vals = score(X)
+        if not np.all(np.isfinite(vals)):
+            raise NumericError("candidate scan met a non-finite score")
+        count += len(vals)
+        i = int(np.argmin(vals))
+        if vals[i] < best:
+            best = float(vals[i])
+            best_row = np.array(X[i])
+            best_row.flags.writeable = False
+        worst = max(worst, float(vals.max()))
+        # free this block before the generator draws the next one
+        del X
+    return best_row, best, worst, count
 
 
 def _checked_value(f: Objective, x, iteration: int) -> float:

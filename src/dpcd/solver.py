@@ -28,8 +28,10 @@ from .core import (
     Objective,
     SolverReport,
     UNCONSTRAINED,
+    _best_of_blocks,
     _checked_gradient,
     _checked_value,
+    _flipped,
     feasible_point,
     hamming_distance,
     random_feasible,
@@ -154,11 +156,7 @@ def principal_sets(x: BinaryVector, gradient, l1, l2, alpha1: float, alpha2: flo
 
 
 def unconstrained_flip(x: BinaryVector, sets: PrincipalSets) -> BinaryVector:
-    out = np.array(x)
-    out[sets.s_plus] *= -1.0
-    out[sets.s_minus] *= -1.0
-    out.flags.writeable = False
-    return out
+    return _flipped(x, np.concatenate([sets.s_plus, sets.s_minus]))
 
 
 def _top_by_magnitude(gradient, idx: np.ndarray, m: int) -> np.ndarray:
@@ -237,10 +235,7 @@ def enumerate_neighborhood(x: BinaryVector, c: ConstraintSpec, m: int) -> Iterat
     pools = _flip_pools(x, c)
     for block in _exhaustive_blocks(pools, min(m, *map(len, pools))):
         for flips in block:
-            y = np.array(x)
-            y[flips] *= -1.0
-            y.flags.writeable = False
-            yield y
+            yield _flipped(x, flips)
 
 
 def _distinct_rows(rng: np.random.Generator, pool: np.ndarray, j: int, cnt: int) -> np.ndarray:
@@ -281,6 +276,7 @@ def _explore_neighborhood(x, f: Objective, c: ConstraintSpec, m: int, budget: in
     equally good neighbors the first one explored wins. exhaustive_flag
     reports whether the whole neighborhood was enumerated, which is what
     allows a caller to treat "no improvement" as proof of local optimality.
+    A non-finite candidate delta raises NumericError.
     """
     pools = _flip_pools(x, c)
     top = min(m, *map(len, pools))
@@ -289,21 +285,8 @@ def _explore_neighborhood(x, f: Objective, c: ConstraintSpec, m: int, budget: in
     exhaustive = neighborhood_size(x, c, m) <= NEIGHBORHOOD_CAP
     blocks = (_exhaustive_blocks(pools, top) if exhaustive
               else _sampled_blocks(pools, top, budget, rng))
-    best_delta = 0.0
-    best_flips = None
-    for flips in blocks:
-        deltas = f.deltas(x, flips)
-        i = int(np.argmin(deltas))
-        if deltas[i] < best_delta:
-            best_delta = float(deltas[i])
-            best_flips = flips[i]
-
-    if best_flips is None:
-        return x, exhaustive
-    y = np.array(x)
-    y[best_flips] *= -1.0
-    y.flags.writeable = False
-    return y, exhaustive
+    flips, _, _, _ = _best_of_blocks(lambda rows: f.deltas(x, rows), blocks, 0.0)
+    return (x if flips is None else _flipped(x, flips)), exhaustive
 
 
 def neighborhood_search(x: BinaryVector, f: Objective, c: ConstraintSpec,
@@ -312,15 +295,14 @@ def neighborhood_search(x: BinaryVector, f: Objective, c: ConstraintSpec,
 
     Exhaustive enumeration up to NEIGHBORHOOD_CAP neighbors, `budget`
     seeded samples beyond it. Never returns a strictly worse point; ties
-    keep x.
+    keep x. A non-finite candidate delta raises NumericError.
     """
     if m < 1:
         raise DomainError("neighborhood radius must be >= 1")
     if budget < 1:
         raise DomainError("neighborhood budget must be >= 1")
     x = feasible_point(x, f.dimension, c)
-    y, _ = _explore_neighborhood(x, f, c, m, budget, np.random.default_rng(seed))
-    return y
+    return _explore_neighborhood(x, f, c, m, budget, np.random.default_rng(seed))[0]
 
 
 def dpcd_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,

@@ -7,6 +7,7 @@ shapes cannot drift from the documented ones. Exit-code policy: 0 success,
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from dpcd import SolverConfig, cli, hashing, save_matrix_binary
+from dpcd import SolverConfig, cli, exhaustive_oracle, hashing, save_matrix_binary
 
 SCHEMA = json.loads(resources.files("dpcd").joinpath("schema.json").read_text())
 
@@ -416,6 +417,16 @@ class TestQuad:
         capsys.readouterr()
         assert seen == [hashing.CODE_STEP]
 
+    def test_library_defaults_are_the_signatures(self):
+        # hash --lambda/--outer and oracle --limit restate no default
+        parser = cli.build_parser()
+        hash_args = parser.parse_args(["hash", "F", "L", "--code-length", "4"])
+        hash_params = inspect.signature(hashing.alternating_hash).parameters
+        assert hash_args.lam == hash_params["lam"].default
+        assert hash_args.outer == hash_params["outer_iterations"].default
+        oracle_params = inspect.signature(exhaustive_oracle).parameters
+        assert parser.parse_args(["oracle"]).limit == oracle_params["limit"].default
+
     @pytest.mark.parametrize("argv", [
         ("quad", "--n", -1),
         ("oracle", "--separable", "--n", -2),
@@ -631,6 +642,18 @@ class TestBench:
         proc = run_cli("bench", "--methods", "")
         assert proc.returncode == 2
         assert b"empty" in proc.stderr
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--instances", "-1", "--n", "20", "--k", "3"), "--instances must be >= 1"),
+        (("--instances", "0", "--n", "20", "--k", "3"), "--instances must be >= 1"),
+        (("--suite", "scaling", "--sizes", ","), "--sizes needs one or more entries"),
+    ])
+    def test_empty_run_rejected(self, argv, message, capsys):
+        # each used to exit 0 with only the CSV header
+        assert cli.main(["bench", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
 
 
 class TestTopLevel:

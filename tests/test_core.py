@@ -8,7 +8,7 @@ import pytest
 from dpcd import (DimensionError, DomainError, NumericError, UNCONSTRAINED,
                   binary_vector, constraint_check, exact_ones,
                   hamming_distance, random_feasible, sign, signs)
-from dpcd.core import feasible_point
+from dpcd.core import _best_of_blocks, _flipped, feasible_point
 
 
 class TestSign:
@@ -163,3 +163,33 @@ class TestRandomFeasible:
                        for s in range(200)])
         assert (xs == 1.0).any(axis=0).all()
         assert (xs == -1.0).any(axis=0).all()
+
+
+class TestBestOfBlocks:
+    # rows are (score, id) pairs scored by their first entry
+    @staticmethod
+    def score(X):
+        return X[:, 0]
+
+    def test_first_strict_minimum_across_blocks(self):
+        blocks = [np.array([[2.0, 0], [1.0, 1]]), np.array([[1.0, 2], [3.0, 3]])]
+        row, best, worst, count = _best_of_blocks(self.score, iter(blocks))
+        assert row.tolist() == [1.0, 1] and not row.flags.writeable
+        assert (best, worst, count) == (1.0, 3.0, 4)
+
+    def test_nothing_below_the_bar(self):
+        blocks = [np.array([[0.0, 0], [2.0, 1]])]
+        assert _best_of_blocks(self.score, iter(blocks), 0.0) == (None, 0.0, 2.0, 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_raises(self, bad):
+        blocks = [np.array([[1.0, 0]]), np.array([[bad, 1], [0.0, 2]])]
+        with pytest.raises(NumericError):
+            _best_of_blocks(self.score, iter(blocks))
+
+
+def test_flipped_is_a_read_only_copy():
+    x = binary_vector([1, -1, 1])
+    y = _flipped(x, [0, 1])
+    assert y.tolist() == [-1, 1, 1] and not y.flags.writeable
+    assert x.tolist() == [1, -1, 1]

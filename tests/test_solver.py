@@ -15,6 +15,7 @@ from dpcd import (GRADIENT_AVERAGE, LIPSCHITZ, BoundUnavailableError,
                   random_feasible, random_search, step_bound,
                   unconstrained_flip)
 
+from dpcd import solver
 from dpcd.solver import _distinct_rows
 
 from conftest import random_quadratic
@@ -287,6 +288,43 @@ class TestNeighborhoodSearch:
             neighborhood_search(x, f, UNCONSTRAINED, m=1, budget=0)
         with pytest.raises(DomainError):
             SolverConfig(neighborhood_budget=0)
+
+
+def nan_left_objective(n: int = 4) -> Objective:
+    # sum(x), but NaN wherever x[0] = -1, with no fast fields: from
+    # ones(n) the deltas read [nan, -2, ..., -2]
+    return Objective(dimension=n, lipschitz=1.0, gradient=lambda x: np.zeros(n),
+                     value=lambda x: float(np.sum(x)) if x[0] > 0 else np.nan)
+
+
+class TestCandidateScan:
+    # the local search picks its move with the baselines' scan
+
+    def test_non_finite_delta_raises_exhaustive(self):
+        f = nan_left_objective()
+        with pytest.raises(NumericError, match="non-finite"):
+            neighborhood_search(np.ones(4), f, UNCONSTRAINED, 1)
+
+    def test_non_finite_delta_raises_sampled(self, monkeypatch):
+        monkeypatch.setattr(solver, "NEIGHBORHOOD_CAP", 0)
+        f = nan_left_objective()
+        with pytest.raises(NumericError, match="non-finite"):
+            neighborhood_search(np.ones(4), f, UNCONSTRAINED, 1, budget=50)
+
+    def test_non_finite_delta_raises_in_solve(self):
+        # a zero gradient flips nothing, so the first iteration searches
+        f = nan_left_objective()
+        with pytest.raises(NumericError, match="non-finite"):
+            dpcd_solve(f, UNCONSTRAINED, SolverConfig(), initial_point=np.ones(4))
+
+    def test_tie_across_blocks_keeps_first_block(self, monkeypatch):
+        # flipping entry 3 or 4 gains the same 6; with two-row blocks they
+        # sit in the second and the third block
+        monkeypatch.setattr(solver, "_EVAL_CHUNK", 2)
+        assert len(list(solver._exhaustive_blocks([np.arange(6)], 1))) == 3
+        f = make_quadratic(np.zeros((6, 6)), np.array([0.0, 1.0, 0.0, 3.0, 3.0, 2.0]), 0.0)
+        y = neighborhood_search(np.ones(6), f, UNCONSTRAINED, 1)
+        assert y.tolist() == [1, 1, 1, -1, 1, 1]
 
 
 class TestDistinctRows:
