@@ -22,6 +22,8 @@ from .core import (
     _best_of_blocks,
     _checked_gradient,
     _checked_value,
+    _flipped,
+    _sign_rows,
     check_feasible,
     feasible_point,
     hamming_distance,
@@ -97,9 +99,7 @@ def _feasible_blocks(n: int, c: ConstraintSpec):
     if c.is_exact_ones:
         combos = itertools.combinations(range(n), c.r)
         for chunk in iter(lambda: list(itertools.islice(combos, _CHUNK)), []):
-            X = -np.ones((len(chunk), n))
-            X[np.arange(len(chunk))[:, None], np.array(chunk, dtype=np.intp)] = 1.0
-            yield X
+            yield _sign_rows(np.array(chunk, dtype=np.intp), n)
     else:
         total = 1 << n
         shifts = np.arange(n, dtype=np.uint64)
@@ -110,17 +110,18 @@ def _feasible_blocks(n: int, c: ConstraintSpec):
 
 
 def _sampled_blocks(n: int, c: ConstraintSpec, samples: int, rng: np.random.Generator):
-    # uniform feasible rows in blocks; successive blocks continue one rng
-    # stream, so the first strict minimum does not depend on the block size
+    # uniform feasible samples in blocks: (m, n) sign rows on the cube,
+    # (m, r) rows of +1 indices on the slice; successive blocks continue
+    # one rng stream, so the first strict minimum does not depend on the
+    # block size
     block = max(1, min(_CHUNK, BLOCK_ENTRIES // n))
     for start in range(0, samples, block):
         m = min(block, samples - start)
         if c.is_exact_ones:
-            X = -np.ones((m, n))
             keys = rng.random((m, n))
-            if c.r:
-                # the full (m, n) argpartition result dies with this statement
-                X[np.arange(m)[:, None], np.argpartition(keys, c.r - 1, axis=1)[:, :c.r]] = 1.0
+            # copied, so the full (m, n) argpartition result dies here
+            X = (np.argpartition(keys, c.r - 1, axis=1)[:, :c.r].copy() if c.r
+                 else np.empty((m, 0), dtype=np.intp))
             del keys
         else:
             X = rng.integers(0, 2, size=(m, n)) * 2.0 - 1.0
@@ -149,8 +150,12 @@ def random_search(f: Objective, c: ConstraintSpec, samples: int, seed=0) -> Orac
         raise DomainError("samples must be >= 1")
     check_feasible(f.dimension, c)
     rng = np.random.default_rng(seed)
+    score = f.values_on_ones if c.is_exact_ones else f.values
     best_x, best, _, count = _best_of_blocks(
-        f.values, _sampled_blocks(f.dimension, c, samples, rng))
+        score, _sampled_blocks(f.dimension, c, samples, rng))
+    if c.is_exact_ones:
+        # the winning row holds the +1 indices
+        best_x = _flipped(-np.ones(f.dimension), best_x)
     return OracleResult(best_x, best, best, None, count)
 
 

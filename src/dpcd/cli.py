@@ -85,7 +85,8 @@ def _solver_parent(base: SolverConfig) -> argparse.ArgumentParser:
 
 def _output_parent(timings: bool = True) -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--format", choices=["json", "csv"], default="json")
+    parent.add_argument("--format", choices=["json", "csv"], default="json",
+                        help="output format (default %(default)s)")
     if timings:
         parent.add_argument("--timings", action="store_true")
     return parent
@@ -407,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="edge list or MatrixMarket path, '-' for stdin")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--graph-format", choices=["auto", "edge-list", "matrix-market"],
-                   default="auto")
+                   default="auto", help="input format; auto reads .mtx and .mm files as "
+                   "MatrixMarket (default %(default)s)")
     p.add_argument("--baselines", action="store_true")
     p.set_defaults(func=cmd_subgraph)
 
@@ -416,11 +418,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("features")
     p.add_argument("labels")
     p.add_argument("--code-length", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=_HASH_PARAMS["lam"].default)
-    p.add_argument("--outer", type=int, default=_HASH_PARAMS["outer_iterations"].default)
+    p.add_argument("--lambda", dest="lam", type=float, default=_HASH_PARAMS["lam"].default,
+                   help="ridge weight of the regression matrix (default %(default)s)")
+    p.add_argument("--outer", type=int, default=_HASH_PARAMS["outer_iterations"].default,
+                   help="alternating rounds (default %(default)s)")
     p.add_argument("--eval", default=None, help="query feature file")
     p.add_argument("--eval-labels", default=None)
-    p.add_argument("--topk", type=int, default=50)
+    p.add_argument("--topk", type=int, default=50,
+                   help="retrieved items scored per query (default %(default)s)")
     p.set_defaults(func=cmd_hash)
 
     p = solve_command("quad", "solve a quadratic problem file or a seeded instance")
@@ -435,11 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separable", action="store_true",
                    help="use the shifted separable diagnostic instead of a quadratic")
     p.add_argument("--constraint-r", type=int, default=None)
-    p.add_argument("--limit", type=int, default=_ORACLE_PARAMS["limit"].default)
+    p.add_argument("--limit", type=int, default=_ORACLE_PARAMS["limit"].default,
+                   help="largest dimension enumerated (default %(default)s)")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("bench", help="run a method grid, emit CSV")
-    p.add_argument("--suite", choices=["subgraph", "scaling"], default="subgraph")
+    p.add_argument("--suite", choices=["subgraph", "scaling"], default="subgraph",
+                   help="method grid to run (default %(default)s)")
     # suite flags default to None: cmd_bench fills in the suite's own
     # defaults and refuses a flag the suite does not read
     p.add_argument("--methods", type=lambda s: [m for m in s.split(",") if m])
@@ -447,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--instances", type=int)
     p.add_argument("--sizes", type=lambda s: [int(t) for t in s.split(",") if t])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -80,10 +80,16 @@ class Objective:
 
     value and gradient must be deterministic. gradient accepts any real
     point of the box, not just binary points, so finite-difference checks
-    are well defined. Consumers score many points through two methods:
+    are well defined. Consumers score many points through three methods:
 
       values(X)         f at each row of an (m, n) matrix; uses the
                         optional value_batch when set, else value per row
+      values_on_ones(idx)
+                        f at each sign vector whose +1 entries are the
+                        indices in one row of an (m, r) index matrix
+                        (entries distinct per row, every other entry -1);
+                        uses the optional ones_batch when set, else values
+                        on the expanded (m, n) sign rows
       deltas(x, flips)  f(x with signs flipped on each row of an (m, j)
                         index matrix, entries distinct per row) - f(x);
                         uses the optional flips_delta when set, else value
@@ -100,6 +106,7 @@ class Objective:
     lipschitz: Optional[float] = None
     value_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     flips_delta: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    ones_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     coeff_abs_sum: Optional[float] = None
     name: str = "objective"
 
@@ -113,6 +120,11 @@ class Objective:
         if self.value_batch is not None:
             return np.asarray(self.value_batch(X), dtype=float)
         return np.array([self.value(row) for row in X])
+
+    def values_on_ones(self, idx: np.ndarray) -> np.ndarray:
+        if self.ones_batch is not None:
+            return np.asarray(self.ones_batch(idx), dtype=float)
+        return self.values(_sign_rows(idx, self.dimension))
 
     def deltas(self, x: np.ndarray, flips: np.ndarray) -> np.ndarray:
         if self.flips_delta is not None:
@@ -227,6 +239,13 @@ def random_feasible(n: int, c: ConstraintSpec, seed) -> BinaryVector:
         x = rng.integers(0, 2, size=n) * 2.0 - 1.0
     x.flags.writeable = False
     return x
+
+
+def _sign_rows(idx: np.ndarray, n: int) -> np.ndarray:
+    """(m, n) sign rows, +1 at the indices in each row of idx, else -1."""
+    X = -np.ones((len(idx), n))
+    X[np.arange(len(idx))[:, None], idx] = 1.0
+    return X
 
 
 def _flipped(x, idx) -> BinaryVector:

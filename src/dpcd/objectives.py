@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import (
+    BLOCK_ENTRIES,
     DimensionError,
     DomainError,
     Objective,
@@ -22,7 +23,8 @@ from .core import (
 )
 
 # quadratics with dimension up to this get a dense coefficient copy for
-# fast gathers in flips_delta; beyond it sparse fancy indexing is used
+# fast gathers in flips_delta; beyond it a sparse A is read through
+# _sparse_pair_coeffs
 _DENSE_GATHER_LIMIT = 1500
 
 
@@ -64,6 +66,55 @@ def _symmetrized(A, label: str):
     return A
 
 
+def _sparse_pair_coeffs(A, x, cols):
+    """Lookup (u, v) -> A[cols[u], cols[v]] for an exactly symmetric,
+    canonical CSR A (no duplicate entries, so each value is one entry).
+
+    A pair (u, v) whose first index column holds only +1 entries of x
+    reads A[p, q] from a dense block of the rows A[plus], held
+    transposed: one block column per p in plus, one block row per vertex
+    q of cols with a neighbour in plus, and one zero row that every other
+    vertex maps to. A slice move lists its +1 entries first, so each of its
+    pairs with an endpoint in plus is such a pair. Every other pair pays
+    scipy's per-element lookup, and all pairs do when the block would
+    exceed BLOCK_ENTRIES.
+    """
+    def lookup(a, b):
+        return np.asarray(A[a, b]).ravel()
+
+    n = A.shape[0]
+    plus = np.flatnonzero(np.asarray(x) > 0)
+    k = len(plus)
+    rows = A[plus]
+    # only vertices that some index column names get a block row
+    named = np.zeros(n, dtype=bool)
+    named[cols] = True
+    keep = named[rows.indices]
+    nbrs, slot_of = np.unique(rows.indices[keep], return_inverse=True)
+    width = len(nbrs) + 1
+    if k * width > BLOCK_ENTRIES:
+        return lambda u, v: lookup(cols[u], cols[v])
+    block = np.zeros((width, k))
+    block[slot_of, np.repeat(np.arange(k), np.diff(rows.indptr))[keep]] = rows.data[keep]
+    flat = block.ravel()
+    slot = np.full(n, len(nbrs))
+    slot[nbrs] = np.arange(len(nbrs))
+    pos = np.full(n, -1)
+    pos[plus] = np.arange(k)
+    # per index column: each entry's block column (-1 off plus) and the
+    # flat offset of its block row
+    at = pos[cols]
+    base = slot[cols] * k
+    every = (at >= 0).all(axis=1)
+
+    def coeffs(u, v):
+        if every[u]:
+            return flat.take(base[v] + at[u])
+        return lookup(cols[u], cols[v])
+
+    return coeffs
+
+
 def make_quadratic(A, c, d: float = 0.0) -> Objective:
     """Objective for x'Ax + c'x + d over sign vectors.
 
@@ -80,6 +131,12 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
     sparse = sp.issparse(A)
     if sparse:
         A = A.tocsr()
+        if not A.has_canonical_format:
+            # duplicates summed once, on a copy (np.abs would sum them in
+            # the caller's matrix): scipy's lookup and a dense block of
+            # rows then read the same number
+            A = A.copy()
+            A.sum_duplicates()
     abs_A = np.abs(A)
     row_abs = np.asarray(abs_A.sum(axis=1)).ravel()
     total_abs = float(abs_A.sum())
@@ -88,16 +145,22 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
     lipschitz = 2.0 * float(row_abs.max()) if n else 0.0
 
     if sp.issparse(gather):
-        def pair_coeffs(cols, u, v):
-            return np.asarray(gather[cols[u], cols[v]]).ravel()
+        def pair_coeffs(x, cols):
+            return _sparse_pair_coeffs(gather, x, cols)
     else:
         # A is symmetric, so entry (u, v) sits at u*n + v in C and in F
         # order alike: K order flattens either without a copy (a strided
         # matrix is copied once, here)
         flat = gather.ravel(order="K")
 
-        def pair_coeffs(cols, u, v):
-            return flat.take(cols[u] * n + cols[v])
+        def pair_coeffs(x, cols):
+            return lambda u, v: flat.take(cols[u] * n + cols[v])
+
+    # x = 2s - 1 for the 0/1 indicator s of the +1 entries gives
+    # x'Ax + c'x + d = 4*s'As + s'(2c - 4*A1) + (1'A1 - c'1 + d)
+    A1 = np.asarray(A.sum(axis=1)).ravel()
+    ones_linear = 2.0 * c - 4.0 * A1
+    ones_constant = float(A1.sum()) - float(c.sum()) + d
 
     def value(x):
         x = np.asarray(x, dtype=float)
@@ -112,6 +175,15 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
         AX = (A @ X.T).T if sparse else X @ A
         return np.einsum("ij,ij->i", X, AX) + X @ c + d
 
+    def ones_batch(idx):
+        # s'As of every row at once: the row sums of S o (S @ A), where S
+        # is the (m, n) sparse indicator of the rows' +1 sets
+        idx = np.asarray(idx, dtype=np.intp)
+        m, r = idx.shape
+        S = sp.csr_array((np.ones(m * r), idx.ravel(), np.arange(m + 1) * r), shape=(m, n))
+        quad = np.asarray(S.multiply(S @ A).sum(axis=1)).ravel()
+        return 4.0 * quad + ones_linear[idx].sum(axis=1) + ones_constant
+
     def flips_delta(x, flips):
         # x' = x - 2*x_F on the flip set F; expanding x'Ax' + c'x' with A
         # symmetric gives delta = sum_F s_u + 8*sum_{u<v in F} x_u x_v A_uv,
@@ -125,10 +197,11 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
         cols = np.ascontiguousarray(flips.T)
         xc = x[cols]
         x8 = 8.0 * xc
+        coeffs = pair_coeffs(x, cols)
         j = len(cols)
         for u in range(j):
             for v in range(u + 1, j):
-                delta += x8[u] * xc[v] * pair_coeffs(cols, u, v)
+                delta += x8[u] * xc[v] * coeffs(u, v)
         return delta
 
     return Objective(
@@ -138,6 +211,7 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
         lipschitz=lipschitz,
         value_batch=value_batch,
         flips_delta=flips_delta,
+        ones_batch=ones_batch,
         coeff_abs_sum=total_abs + float(np.abs(c).sum()),
         name="quadratic",
     )

@@ -324,12 +324,14 @@ def test_criterion_09_linear_time_per_outer():
     per_outer = []
     for n in sizes:
         X, Y, _ = _clusters(n, 32, 10, seed=9)
+        # process CPU time, best of 3: other processes on a shared host
+        # stretch wall time, not this process's CPU time
         best = np.inf
-        for _ in range(2):
-            t0 = time.perf_counter()
+        for _ in range(3):
+            t0 = time.process_time()
             model = alternating_hash(X, Y, 16, outer_iterations=3,
                                      lam=1.0, seed=1)
-            best = min(best, (time.perf_counter() - t0) / model.outer_iterations)
+            best = min(best, (time.process_time() - t0) / model.outer_iterations)
         per_outer.append(best)
     t = np.array(per_outer)
     design = np.stack([np.array(sizes, dtype=float), np.ones(3)], axis=1)

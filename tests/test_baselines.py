@@ -35,15 +35,18 @@ def reference_peel(graph, k):
 
 
 def single_block_search(f, c, samples, seed):
-    """random_search with every sample drawn into one (samples, n) array."""
+    """random_search with every sample drawn into one array: (samples, n)
+    sign rows on the cube, (samples, r) rows of +1 indices on the slice."""
     rng = np.random.default_rng(seed)
     n = f.dimension
     if c.is_exact_ones:
-        X = -np.ones((samples, n))
-        order = np.argpartition(rng.random((samples, n)), c.r - 1, axis=1)[:, :c.r]
-        X[np.arange(samples)[:, None], order] = 1.0
-    else:
-        X = rng.integers(0, 2, size=(samples, n)) * 2.0 - 1.0
+        ones = np.argpartition(rng.random((samples, n)), c.r - 1, axis=1)[:, :c.r]
+        vals = f.values_on_ones(ones)
+        i = int(np.argmin(vals))
+        x = -np.ones(n)
+        x[ones[i]] = 1.0
+        return x, float(vals[i])
+    X = rng.integers(0, 2, size=(samples, n)) * 2.0 - 1.0
     vals = f.values(X)
     i = int(np.argmin(vals))
     return X[i], float(vals[i])
@@ -52,7 +55,8 @@ def single_block_search(f, c, samples, seed):
 def nan_valued(f):
     """f with every value NaN; the gradient is left finite."""
     return dataclasses.replace(f, value=lambda x: float("nan"),
-                               value_batch=lambda X: np.full(len(X), np.nan))
+                               value_batch=lambda X: np.full(len(X), np.nan),
+                               ones_batch=None)
 
 
 def random_graph(n, edges, weights, seed):
@@ -286,7 +290,8 @@ class TestRandomSearch:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # about three block-sized arrays of 4M entries each (the slice
-            # holds its sort keys, the sample block and one argpartition
-            # result), while one (samples, n) array alone would be 160 MB
+            # at most about three block-sized arrays of 4M entries each (the
+            # slice holds its sort keys, one argpartition result and its
+            # first r columns, then the expanded sign rows), while one
+            # (samples, n) array alone would be 160 MB
             assert peak < 3.5 * (1 << 22) * 8 < samples * n * 8, c

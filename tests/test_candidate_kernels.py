@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dpcd import make_quadratic
+from dpcd import make_quadratic, objectives
 from dpcd.objectives import _DENSE_GATHER_LIMIT
 from dpcd.solver import _EVAL_CHUNK, _distinct_rows, _exhaustive_blocks
 
@@ -109,6 +109,73 @@ class TestFlipsDelta:
         for flips in blocks:
             assert np.array_equal(f.flips_delta(x, flips),
                                   reference_flips_delta(A, c, x, flips))
+
+
+class TestPlusRowBlock:
+    """Past the dense-gather limit, a sparse A serves the pairs whose first
+    column holds only +1 entries of x from a dense block of the +1 rows,
+    and the other pairs from scipy's lookup."""
+
+    N = _DENSE_GATHER_LIMIT + 1
+
+    @pytest.fixture
+    def case(self):
+        rng = np.random.default_rng(11)
+        A = _symmetric(self.N, rng, True, density=20.0 / self.N)
+        c = rng.standard_normal(self.N)
+        x = -np.ones(self.N)
+        x[rng.permutation(self.N)[:40]] = 1.0
+        return A, c, x, rng
+
+    @staticmethod
+    def _slice_rows(rng, first, second, j, cnt):
+        return np.concatenate([_distinct_rows(rng, p, j, cnt) for p in (first, second)], axis=1)
+
+    def _check(self, A, c, x, flips):
+        got = make_quadratic(A, c).flips_delta(x, flips)
+        assert np.array_equal(got, reference_flips_delta(A, c, x, flips))
+
+    def test_slice_blocks(self, case):
+        # plus-first columns, as the slice search draws them
+        A, c, x, rng = case
+        plus, minus = np.flatnonzero(x > 0), np.flatnonzero(x < 0)
+        for j in (1, 2, 3, 5):
+            self._check(A, c, x, self._slice_rows(rng, plus, minus, j, 300))
+
+    def test_columns_mixing_plus_and_minus(self, case):
+        # even rows put their +1 entries first, odd rows last, so every
+        # column mixes them and each pair goes through scipy's lookup
+        A, c, x, rng = case
+        plus, minus = np.flatnonzero(x > 0), np.flatnonzero(x < 0)
+        flips = np.empty((300, 6), dtype=np.intp)
+        flips[::2] = self._slice_rows(rng, plus, minus, 3, 150)
+        flips[1::2] = self._slice_rows(rng, minus, plus, 3, 150)
+        self._check(A, c, x, flips)
+        self._check(A, c, x, np.argsort(rng.random((300, self.N)), axis=1)[:, :7])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["all-plus", "all-minus"])
+    def test_uniform_sign_x(self, case, sign):
+        A, c, _, rng = case
+        flips = np.argsort(rng.random((200, self.N)), axis=1)[:, :6]
+        self._check(A, c, np.full(self.N, sign), flips)
+
+    def test_block_entries_fallback(self, case, monkeypatch):
+        monkeypatch.setattr(objectives, "BLOCK_ENTRIES", 1)
+        A, c, x, rng = case
+        plus, minus = np.flatnonzero(x > 0), np.flatnonzero(x < 0)
+        self._check(A, c, x, self._slice_rows(rng, plus, minus, 3, 300))
+
+    def test_duplicate_entries(self, case):
+        # every stored entry split into two halves: the halves are summed,
+        # in a copy, before any pair reads the block
+        A, c, x, rng = case
+        halves = sp.csr_array((np.repeat(A.data / 2.0, 2), np.repeat(A.indices, 2),
+                               A.indptr * 2), shape=A.shape)
+        plus, minus = np.flatnonzero(x > 0), np.flatnonzero(x < 0)
+        flips = self._slice_rows(rng, plus, minus, 3, 300)
+        got = make_quadratic(halves, c).flips_delta(x, flips)
+        assert np.array_equal(got, reference_flips_delta(A, c, x, flips))
+        assert halves.nnz == 2 * A.nnz and not halves.has_canonical_format
 
 
 def _pool_cases():

@@ -5,6 +5,7 @@ shapes cannot drift from the documented ones. Exit-code policy: 0 success,
 1 numeric failure, 2 usage or input error.
 """
 
+import argparse
 import dataclasses
 import hashlib
 import inspect
@@ -426,6 +427,22 @@ class TestQuad:
         assert hash_args.outer == hash_params["outer_iterations"].default
         oracle_params = inspect.signature(exhaustive_oracle).parameters
         assert parser.parse_args(["oracle"]).limit == oracle_params["limit"].default
+
+    def test_help_shows_every_default(self):
+        # each flag that takes a value and has a default names it in its
+        # subcommand's --help; switches take no value, so show none
+        parser = cli.build_parser()
+        (commands,) = [a.choices for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        for name, sub in commands.items():
+            text = " ".join(sub.format_help().split())
+            for action in sub._actions:
+                if not action.option_strings or action.nargs == 0 or action.default is None:
+                    continue
+                shown = (" ".join(sub._get_formatter()._expand_help(action).split())
+                         if action.help else "")
+                assert f"(default {action.default})" in shown, (name, action.dest)
+                assert shown in text, (name, action.dest)
 
     @pytest.mark.parametrize("argv", [
         ("quad", "--n", -1),

@@ -74,6 +74,39 @@ class TestQuadratic:
         want = [f.value(row) for row in X]
         assert np.allclose(got, want)
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_ones_batch_matches_value(self, sparse, rng):
+        # real coefficients sum in another order, so agreement is up to
+        # rounding; every +1 count from none to all n
+        n = 9
+        f = random_quadratic(n, 31, sparse=sparse, diagonal=True)
+        for r in range(n + 1):
+            ones = np.argsort(rng.random((30, n)), axis=1)[:, :r]
+            X = -np.ones((30, n))
+            X[np.arange(30)[:, None], ones] = 1.0
+            want = [f.value(row) for row in X]
+            assert np.allclose(f.ones_batch(ones), want, rtol=1e-12, atol=1e-12), r
+
+    @pytest.mark.parametrize("weights", [[1.0], [0.1, 0.3, 0.7]], ids=["unit", "weighted"])
+    def test_ones_batch_on_graphs(self, weights, rng):
+        # unit weights keep every partial sum an integer, so the +1-set form
+        # is bit-exact there
+        n = 60
+        u, v = np.triu_indices(n, 1)
+        keep = rng.random(len(u)) < 0.2
+        g = SparseGraph(n, u[keep], v[keep], rng.choice(weights, int(keep.sum())))
+        f, _ = make_dense_subgraph(g, 10)
+        for r in (0, 1, 10, n):
+            ones = np.argsort(rng.random((40, n)), axis=1)[:, :r]
+            X = -np.ones((40, n))
+            X[np.arange(40)[:, None], ones] = 1.0
+            got = f.ones_batch(ones)
+            want = np.array([f.value(row) for row in X])
+            if weights == [1.0]:
+                assert np.array_equal(got, want), r
+            else:
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-9), r
+
     # past the dense-gather limit flips_delta gathers from the sparse
     # matrix itself
     @pytest.mark.parametrize("sparse,n,density", [

@@ -1,4 +1,5 @@
 """Solver mechanics: thresholds, principal sets, flips, local search, loop."""
+import dataclasses
 import itertools
 
 import numpy as np
@@ -374,6 +375,17 @@ class TestEvaluationFallback:
         for j in (1, 3):
             flips = np.stack([rng.permutation(self.N)[:j] for _ in range(25)])
             assert np.allclose(bare.deltas(X[0], flips), fast.flips_delta(X[0], flips))
+
+    def test_values_on_ones_expands_rows(self, pair, rng):
+        # without ones_batch, the +1 index rows are scored as sign rows
+        fast, bare = pair
+        for r in (0, 7, self.N):
+            ones = np.argsort(rng.random((25, self.N)), axis=1)[:, :r]
+            X = -np.ones((25, self.N))
+            X[np.arange(25)[:, None], ones] = 1.0
+            for f in (bare, dataclasses.replace(fast, ones_batch=None)):
+                assert np.array_equal(f.values_on_ones(ones), f.values(X)), r
+            assert np.allclose(fast.values_on_ones(ones), fast.value_batch(X)), r
 
     @pytest.mark.parametrize("m,sampled", [(2, False), (5, True)])
     @pytest.mark.parametrize("c", [UNCONSTRAINED, exact_ones(12)], ids=["cube", "slice"])
