@@ -109,6 +109,26 @@ def _feasible_blocks(n: int, c: ConstraintSpec):
             yield bits.astype(float) * 2.0 - 1.0
 
 
+def _floyd_block(n: int, r: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m rows of r distinct indices in [0, n), each row a uniform r-subset.
+
+    Floyd's algorithm (Bentley & Floyd, CACM 1987): column t draws from
+    [0, n - r + t] and takes n - r + t instead when the draw is already in
+    its row. All m * r draws come from one call in row order, so a sample
+    uses the same part of the stream whatever block it falls in. Each
+    row's members are kept in an (m, n) bool table, so the fix-up is
+    O(m * r); the solver's `_distinct_rows` compares earlier columns.
+    """
+    X = rng.integers(0, np.arange(n - r, n) + 1, size=(m, r))
+    seen = np.zeros(m * n, dtype=bool)
+    base = np.arange(m) * n
+    for t in range(r):
+        col = X[:, t]
+        col[seen[base + col]] = n - r + t
+        seen[base + col] = True
+    return X
+
+
 def _sampled_blocks(n: int, c: ConstraintSpec, samples: int, rng: np.random.Generator):
     # uniform feasible samples in blocks: (m, n) sign rows on the cube,
     # (m, r) rows of +1 indices on the slice; successive blocks continue
@@ -118,11 +138,7 @@ def _sampled_blocks(n: int, c: ConstraintSpec, samples: int, rng: np.random.Gene
     for start in range(0, samples, block):
         m = min(block, samples - start)
         if c.is_exact_ones:
-            keys = rng.random((m, n))
-            # copied, so the full (m, n) argpartition result dies here
-            X = (np.argpartition(keys, c.r - 1, axis=1)[:, :c.r].copy() if c.r
-                 else np.empty((m, 0), dtype=np.intp))
-            del keys
+            X = _floyd_block(n, c.r, m, rng)
         else:
             X = rng.integers(0, 2, size=(m, n)) * 2.0 - 1.0
         yield X
@@ -145,7 +161,12 @@ def exhaustive_oracle(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
 
 def random_search(f: Objective, c: ConstraintSpec, samples: int, seed=0) -> OracleResult:
     """Best of `samples` uniform feasible draws. f_max is omitted since the
-    sweep is partial."""
+    sweep is partial.
+
+    A cube sample draws n fair signs. A slice sample draws its r indices
+    of +1 by Floyd's algorithm, r bounded draws per sample, and is scored
+    on those indices through `Objective.values_on_ones`.
+    """
     if samples < 1:
         raise DomainError("samples must be >= 1")
     check_feasible(f.dimension, c)

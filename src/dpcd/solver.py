@@ -174,11 +174,8 @@ def balanced_flip(x: BinaryVector, gradient, sets: PrincipalSets) -> BinaryVecto
     m = min(len(sets.s_plus), len(sets.s_minus))
     if m == 0:
         return x
-    out = np.array(x)
-    out[_top_by_magnitude(gradient, sets.s_plus, m)] = -1.0
-    out[_top_by_magnitude(gradient, sets.s_minus, m)] = 1.0
-    out.flags.writeable = False
-    return out
+    return _flipped(x, np.concatenate([_top_by_magnitude(gradient, sets.s_plus, m),
+                                       _top_by_magnitude(gradient, sets.s_minus, m)]))
 
 
 def _flip_pools(x: BinaryVector, c: ConstraintSpec) -> list:
@@ -243,7 +240,9 @@ def _distinct_rows(rng: np.random.Generator, pool: np.ndarray, j: int, cnt: int)
 
     Floyd's algorithm (Bentley & Floyd, CACM 1987), one column per step:
     column t draws from [0, size - j + t] and takes size - j + t instead
-    when the draw already sits earlier in its row.
+    when the draw already sits earlier in its row. The O(j^2) compare of
+    earlier columns suits j <= radius; the membership table random_search
+    keeps would cost cnt * size bytes here.
     """
     size = len(pool)
     cols = np.empty((j, cnt), dtype=np.intp)
@@ -339,11 +338,14 @@ def dpcd_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
         g = _checked_gradient(f, x, k)
         l1, l2 = derive_thresholds(g, policy, f.lipschitz)
         sets = principal_sets(x, g, l1, l2, cfg.alpha1, cfg.alpha2)
+        # s_plus holds +1 entries and s_minus -1 entries, so the sets are
+        # disjoint and their sizes give the flip count
         if c.is_exact_ones:
             x_next = balanced_flip(x, g, sets)
+            principal_flips = 2 * min(len(sets.s_plus), len(sets.s_minus))
         else:
             x_next = unconstrained_flip(x, sets)
-        principal_flips = hamming_distance(x, x_next)
+            principal_flips = len(sets.s_plus) + len(sets.s_minus)
 
         moved = principal_flips
         exhaustive = False

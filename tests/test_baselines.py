@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dpcd import (DimensionError, DomainError, NumericError, SolverConfig, SparseGraph,
                   UNCONSTRAINED, UnsupportedConstraintError, binary_vector, dpcd_solve,
@@ -13,7 +15,8 @@ from dpcd import (DimensionError, DomainError, NumericError, SolverConfig, Spars
                   make_dense_subgraph, make_quadratic, make_shifted_separable,
                   planted_partition, random_search, sgm_solve)
 
-from dpcd.baselines import _feasible_blocks
+from dpcd import baselines
+from dpcd.baselines import _feasible_blocks, _sampled_blocks
 
 from conftest import random_quadratic
 
@@ -36,11 +39,13 @@ def reference_peel(graph, k):
 
 def single_block_search(f, c, samples, seed):
     """random_search with every sample drawn into one array: (samples, n)
-    sign rows on the cube, (samples, r) rows of +1 indices on the slice."""
+    sign rows on the cube; on the slice, one (samples, r) draw that a
+    plain Floyd pass, one set per row, turns into rows of +1 indices."""
     rng = np.random.default_rng(seed)
     n = f.dimension
     if c.is_exact_ones:
-        ones = np.argpartition(rng.random((samples, n)), c.r - 1, axis=1)[:, :c.r]
+        ones = floyd_reference(rng.integers(0, np.arange(n - c.r, n) + 1,
+                                            size=(samples, c.r)), n)
         vals = f.values_on_ones(ones)
         i = int(np.argmin(vals))
         x = -np.ones(n)
@@ -50,6 +55,21 @@ def single_block_search(f, c, samples, seed):
     vals = f.values(X)
     i = int(np.argmin(vals))
     return X[i], float(vals[i])
+
+
+def floyd_reference(draws, n):
+    """Floyd's subset sampler row by row: column t of an r-column row drew
+    from [0, n - r + t] and takes n - r + t when its draw is taken."""
+    r = draws.shape[1]
+    out = np.empty_like(draws)
+    for i, row in enumerate(draws.tolist()):
+        chosen = set()
+        for t, d in enumerate(row):
+            if d in chosen:
+                d = n - r + t
+            chosen.add(d)
+            out[i, t] = d
+    return out
 
 
 def nan_valued(f):
@@ -261,8 +281,7 @@ class TestRandomSearch:
             random_search(f, UNCONSTRAINED, samples=0, seed=0)
 
     def test_infeasible_count_rejected(self):
-        # the same error as exhaustive_oracle and random_feasible, where
-        # numpy's argpartition used to complain about kth
+        # the same error as exhaustive_oracle and random_feasible
         f = random_quadratic(4, 0)
         with pytest.raises(DomainError, match="^exact-ones r=5 infeasible for n=4$"):
             random_search(f, exact_ones(5), samples=3, seed=0)
@@ -291,7 +310,47 @@ class TestRandomSearch:
             finally:
                 tracemalloc.stop()
             # at most about three block-sized arrays of 4M entries each (the
-            # slice holds its sort keys, one argpartition result and its
-            # first r columns, then the expanded sign rows), while one
-            # (samples, n) array alone would be 160 MB
+            # slice holds its (m, r) index draws, a 1-byte (m, n) membership
+            # table, then the expanded sign rows), while one (samples, n)
+            # array alone would be 160 MB
             assert peak < 3.5 * (1 << 22) * 8 < samples * n * 8, c
+
+    def test_slice_subsets_uniform(self):
+        # 200000 samples of the 20 3-subsets of 6: each is expected 10000
+        # times, with a standard deviation near 100
+        rows = np.concatenate(list(_sampled_blocks(
+            6, exact_ones(3), 200000, np.random.default_rng(0))))
+        counts = np.bincount((1 << rows).sum(axis=1), minlength=64)
+        drawn = np.nonzero(counts)[0]
+        assert sorted(drawn.tolist()) == sorted(
+            sum(1 << i for i in s) for s in itertools.combinations(range(6), 3))
+        assert np.all(np.abs(counts[drawn] - 10000) <= 1000), counts[drawn]
+
+    @pytest.mark.parametrize("r", [0, 1, 6, 7])
+    def test_slice_rows_distinct_in_range(self, r):
+        n = 7
+        rows = np.concatenate(list(_sampled_blocks(
+            n, exact_ones(r), 500, np.random.default_rng(r))))
+        assert rows.shape == (500, r)
+        assert np.all((rows >= 0) & (rows < n))
+        assert all(len(set(row)) == r for row in rows.tolist())
+
+    @given(n=st.integers(1, 40), r_frac=st.floats(0, 1), samples=st.integers(1, 60),
+           entries=st.integers(1, 200), seed=st.integers(0, 2 ** 32 - 1),
+           slice_=st.booleans())
+    def test_draws_independent_of_block_size(self, n, r_frac, samples, entries, seed,
+                                             slice_):
+        c = exact_ones(round(r_frac * n)) if slice_ else UNCONSTRAINED
+
+        def draws():
+            rng = np.random.default_rng(seed)
+            return np.concatenate(list(_sampled_blocks(n, c, samples, rng)))
+
+        whole = draws()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(baselines, "BLOCK_ENTRIES", entries)
+            assert np.array_equal(draws(), whole)
+        if slice_:
+            assert np.array_equal(whole, floyd_reference(
+                np.random.default_rng(seed).integers(
+                    0, np.arange(n - c.r, n) + 1, size=(samples, c.r)), n))
