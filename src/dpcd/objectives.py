@@ -7,6 +7,7 @@ reshape internally, so the solver only ever sees flat sign vectors.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -22,10 +23,11 @@ from .core import (
     exact_ones,
 )
 
-# quadratics with dimension up to this get a dense coefficient copy for
-# fast gathers in flips_delta; beyond it a sparse A is read through
-# _sparse_pair_coeffs
-_DENSE_GATHER_LIMIT = 1500
+# a sparse quadratic with dimension up to this gets a dense n x n pair
+# table (_pair_table), which flips_delta and ones_batch read by flat
+# takes; at the limit an int8 table holds BLOCK_ENTRIES bytes (4 MiB).
+# Beyond it a sparse A is read through _sparse_pair_coeffs
+_DENSE_GATHER_LIMIT = math.isqrt(BLOCK_ENTRIES)
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,26 @@ def _symmetrized(A, label: str):
         warnings.warn(f"{label} was not symmetric; symmetrized as (A + A')/2")
         return (A + A.T) * 0.5
     return A
+
+
+def _pair_table(A) -> np.ndarray:
+    """Dense copy of a canonical CSR A, written from its coordinates into
+    the narrowest of int8 and float32 that gives back every stored entry
+    bit for bit in A's own dtype (so a stored -0.0 keeps its sign), else
+    into float64, the type every delta and score reads the entries in.
+    """
+    data = A.data
+    for dtype in (np.int8, np.float32):
+        with np.errstate(invalid="ignore", over="ignore"):
+            narrow = data.astype(dtype)
+            if narrow.astype(data.dtype).tobytes() == data.tobytes():
+                break
+    else:
+        narrow = data.astype(np.float64)
+    n = A.shape[0]
+    table = np.zeros((n, n), dtype=narrow.dtype)
+    table[np.repeat(np.arange(n), np.diff(A.indptr)), A.indices] = narrow
+    return table
 
 
 def _sparse_pair_coeffs(A, x, cols):
@@ -122,6 +144,15 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
     warning when that changes it). The gradient 2Ax + c has Lipschitz
     constant bounded by the max absolute row sum of 2A, which is what the
     returned objective declares.
+
+    The local-search deltas read pair coefficients A_uv from a dense
+    table: a dense A itself (no copy), or, for a sparse A with
+    n <= _DENSE_GATHER_LIMIT, a copy in the narrowest exact dtype (int8
+    for unit weights: n^2 bytes). A larger sparse A keeps its CSR form
+    only. A slice sample's s'As sums its r(r-1)/2 pairs from that copy
+    while (r - 1)*n <= 2*nnz, so no more lookups than the r*nnz/n stored
+    entries the sparse product S o (S @ A) reads, which scores it
+    otherwise.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     n = c.shape[0]
@@ -140,18 +171,19 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
     abs_A = np.abs(A)
     row_abs = np.asarray(abs_A.sum(axis=1)).ravel()
     total_abs = float(abs_A.sum())
-    gather = A.toarray() if sparse and n <= _DENSE_GATHER_LIMIT else A
+    del abs_A  # before the pair table is built
     diag = A.diagonal()
     lipschitz = 2.0 * float(row_abs.max()) if n else 0.0
 
-    if sp.issparse(gather):
+    table = _pair_table(A) if sparse and n <= _DENSE_GATHER_LIMIT else None
+    if sparse and table is None:
         def pair_coeffs(x, cols):
-            return _sparse_pair_coeffs(gather, x, cols)
+            return _sparse_pair_coeffs(A, x, cols)
     else:
         # A is symmetric, so entry (u, v) sits at u*n + v in C and in F
         # order alike: K order flattens either without a copy (a strided
         # matrix is copied once, here)
-        flat = gather.ravel(order="K")
+        flat = (A if table is None else table).ravel(order="K")
 
         def pair_coeffs(x, cols):
             return lambda u, v: flat.take(cols[u] * n + cols[v])
@@ -176,12 +208,25 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
         return np.einsum("ij,ij->i", X, AX) + X @ c + d
 
     def ones_batch(idx):
-        # s'As of every row at once: the row sums of S o (S @ A), where S
-        # is the (m, n) sparse indicator of the rows' +1 sets
         idx = np.asarray(idx, dtype=np.intp)
         m, r = idx.shape
-        S = sp.csr_array((np.ones(m * r), idx.ravel(), np.arange(m + 1) * r), shape=(m, n))
-        quad = np.asarray(S.multiply(S @ A).sum(axis=1)).ravel()
+        if table is not None and (r - 1) * n <= 2 * A.nnz:
+            # s'As = sum_u A_uu + 2*sum_{u<v} A_uv over each row's +1 set:
+            # r(r-1)/2 table reads a row, no more than the r*nnz/n stored
+            # entries the product below reads; one take per index column,
+            # held as a contiguous row of the transposed indices
+            cols = np.ascontiguousarray(idx.T)
+            pairs = np.zeros(m)
+            for u in range(r - 1):
+                pairs += flat.take(cols[u] * n + cols[u + 1:]).sum(axis=0, dtype=float)
+            quad = diag[idx].sum(axis=1) + 2.0 * pairs
+        else:
+            # the row sums of S o (S @ A), where S is the (m, n) sparse
+            # indicator of the rows' +1 sets: r*nnz/n stored entries a row
+            # of a sparse A. A dense A streams its rows here, which at
+            # r = n costs about a quarter of the pair lookups' time
+            S = sp.csr_array((np.ones(m * r), idx.ravel(), np.arange(m + 1) * r), shape=(m, n))
+            quad = np.asarray(S.multiply(S @ A).sum(axis=1)).ravel()
         return 4.0 * quad + ones_linear[idx].sum(axis=1) + ones_constant
 
     def flips_delta(x, flips):

@@ -19,19 +19,17 @@ from dpcd.solver import _EVAL_CHUNK, _distinct_rows, _exhaustive_blocks
 
 def reference_flips_delta(A, c, x, flips):
     """Single-flip deltas summed, plus 8*x_u*x_v*A_uv per pair in (u, v)
-    order, each pair's coefficients by a 2-D fancy gather."""
+    order, each pair's coefficients by a 2-D fancy gather (scipy's
+    per-element lookup for a sparse A)."""
     if sp.issparse(A):
         A = A.tocsr()
-        gather = A.toarray() if A.shape[0] <= _DENSE_GATHER_LIMIT else A
-    else:
-        gather = A
     s = x * (4.0 * A.diagonal() * x - 4.0 * (A @ x) - 2.0 * c)
     xf = x[flips]
     delta = s[flips].sum(axis=1)
     j = flips.shape[1]
     for u in range(j):
         for v in range(u + 1, j):
-            avals = np.asarray(gather[flips[:, u], flips[:, v]]).ravel()
+            avals = np.asarray(A[flips[:, u], flips[:, v]]).ravel()
             delta += 8.0 * xf[:, u] * xf[:, v] * avals
     return delta
 
@@ -109,6 +107,145 @@ class TestFlipsDelta:
         for flips in blocks:
             assert np.array_equal(f.flips_delta(x, flips),
                                   reference_flips_delta(A, c, x, flips))
+
+
+def _weighted_csr(n, edges, weights, seed, dtype=float):
+    """Symmetric canonical CSR with `edges` random off-diagonal pairs and a
+    full diagonal, every entry drawn from `weights`."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(0, n, edges), rng.integers(0, n, edges)
+    key = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    u, v = key // n, key % n
+    w = rng.choice(np.asarray(weights, dtype=dtype), len(key))
+    off = u != v
+    rows = np.concatenate([u, v[off]])
+    cols = np.concatenate([v, u[off]])
+    A = sp.csr_array((np.concatenate([w, w[off]]), (rows, cols)), shape=(n, n))
+    A.sum_duplicates()
+    return A
+
+
+class TestPairTable:
+    """A sparse A up to the dense-gather limit is copied into a dense table
+    of the narrowest dtype that gives back every stored entry bit for bit;
+    flips_delta and ones_batch read it."""
+
+    @pytest.mark.parametrize("weights,dtype,want", [
+        ([1.0, -1.0], float, np.int8),
+        ([1, -3, 127], np.int64, np.int8),
+        ([300, -2], np.int64, np.float32),
+        ([128.0, 1.0], float, np.float32),
+        ([0.5, -2.5, 3.0], float, np.float32),
+        ([1.0, -0.0], float, np.float32),
+        ([0.1, 1.0], float, np.float64),
+    ], ids=["unit", "int8-integers", "int64-300", "128", "halves", "negative-zero", "tenths"])
+    def test_narrowest_exact_dtype(self, weights, dtype, want):
+        A = _weighted_csr(30, 200, weights, 1, dtype)
+        table = objectives._pair_table(A)
+        assert table.dtype == want
+        # every stored entry bit for bit in A's dtype, so a stored -0.0
+        # keeps its sign (toarray would add it to +0.0), and zeros elsewhere
+        rows = np.repeat(np.arange(30), np.diff(A.indptr))
+        assert table[rows, A.indices].astype(A.dtype).tobytes() == A.data.tobytes()
+        assert np.count_nonzero(table) == np.count_nonzero(A.data)
+        if -0.0 in weights:
+            assert np.signbit(table[rows, A.indices][A.data == 0]).all()
+
+    # TestFlipsDelta covers float64 tables (Gaussian weights) at these n
+    @pytest.mark.parametrize("n", [_DENSE_GATHER_LIMIT, _DENSE_GATHER_LIMIT + 1])
+    @pytest.mark.parametrize("weights", [[1.0, -1.0], [0.5, -1.5]], ids=["int8", "float32"])
+    def test_flips_delta_matches_scipy_lookup(self, n, weights):
+        A = _weighted_csr(n, 20 * n, weights, n)
+        rng = np.random.default_rng(5)
+        c = rng.standard_normal(n)
+        f = make_quadratic(A, c)
+        x = -np.ones(n)
+        x[rng.permutation(n)[:40]] = 1.0
+        for j in (1, 2, 5, 10):
+            flips = np.argsort(rng.random((40, n)), axis=1)[:, :j]
+            assert np.array_equal(f.flips_delta(x, flips), reference_flips_delta(A, c, x, flips))
+
+    def test_integer_typed_csr(self):
+        A = _weighted_csr(40, 300, [2, -1, 300], 4, np.int64)
+        rng = np.random.default_rng(6)
+        c = rng.integers(-3, 4, 40).astype(float)
+        f = make_quadratic(A, c)
+        x = np.where(rng.random(40) < 0.5, 1.0, -1.0)
+        flips = np.argsort(rng.random((50, 40)), axis=1)[:, :6]
+        assert np.array_equal(f.flips_delta(x, flips), reference_flips_delta(A, c, x, flips))
+        ones = np.argsort(rng.random((50, 40)), axis=1)[:, :7]
+        X = -np.ones((50, 40))
+        X[np.arange(50)[:, None], ones] = 1.0
+        assert np.array_equal(f.ones_batch(ones), [f.value(row) for row in X])
+
+
+class TestOnesBatchSides:
+    """For a sparse A with a pair table, ones_batch sums a sample's pairs
+    from the table while its r(r-1)/2 lookups are no more than the r*nnz/n
+    entries of the sparse product, (r - 1)*n <= 2*nnz, and takes the
+    product otherwise; a dense A always takes the product. The two sides
+    agree exactly on integer weights and up to rounding on others."""
+
+    N = 60
+
+    @staticmethod
+    def _counting_products(monkeypatch):
+        # every product-side call builds one sparse indicator matrix
+        made = []
+        build = sp.csr_array
+
+        def counted(*args, **kwargs):
+            made.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(objectives.sp, "csr_array", counted)
+        return made
+
+    @pytest.mark.parametrize("weights,exact", [
+        ([1.0], True), ([1.0, -2.0, 3.0], True), ([0.1, 0.3, 0.7], False)],
+        ids=["unit", "integers", "tenths"])
+    def test_both_sides_match_value(self, weights, exact, monkeypatch):
+        n = self.N
+        # more than n^2/2 stored entries: the table side at every r
+        A = _weighted_csr(n, 4 * n * n, weights, 2)
+        assert (n - 1) * n <= 2 * A.nnz
+        rng = np.random.default_rng(3)
+        c = rng.integers(-3, 4, n).astype(float)
+        table = make_quadratic(A, c, 1.0)
+        monkeypatch.setattr(objectives, "_DENSE_GATHER_LIMIT", 0)
+        product = make_quadratic(A, c, 1.0)
+        made = self._counting_products(monkeypatch)
+        for r in (0, 1, 2, 40, n):
+            ones = np.argsort(rng.random((30, n)), axis=1)[:, :r]
+            X = -np.ones((30, n))
+            X[np.arange(30)[:, None], ones] = 1.0
+            want = np.array([table.value(row) for row in X])
+            before = len(made)
+            got_table = table.ones_batch(ones)
+            assert len(made) == before, r
+            got_product = product.ones_batch(ones)
+            assert len(made) == before + 1, r
+            for got in (got_table, got_product):
+                if exact:
+                    assert np.array_equal(got, want), r
+                else:
+                    assert np.allclose(got, want, rtol=1e-12, atol=1e-9), r
+
+    def test_cost_test_picks_the_side(self, monkeypatch):
+        n = self.N
+        A = _weighted_csr(n, 300, [1.0], 7)
+        f = make_quadratic(A, np.zeros(n))
+        dense = make_quadratic(A.toarray(), np.zeros(n))
+        edge = 2 * A.nnz // n + 1  # the largest r with (r - 1)*n <= 2*nnz
+        made = self._counting_products(monkeypatch)
+        rng = np.random.default_rng(8)
+        for g, r, product in ((f, edge, False), (f, edge + 1, True), (dense, 2, True)):
+            ones = np.argsort(rng.random((20, n)), axis=1)[:, :r]
+            X = -np.ones((20, n))
+            X[np.arange(20)[:, None], ones] = 1.0
+            before = len(made)
+            assert np.array_equal(g.ones_batch(ones), [g.value(row) for row in X])
+            assert len(made) - before == product, r
 
 
 class TestPlusRowBlock:

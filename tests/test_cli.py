@@ -504,7 +504,10 @@ class TestSeededPins:
         assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
     def test_subgraph_sparse_gather(self, tmp_path):
-        # n = 1600 is past the dense-gather limit of flips_delta
+        # n = 1600, unit weights: flips_delta reads the int8 pair table
+        # (the pin dates from when n = 1600 took the sparse-gather side,
+        # which reads the same numbers); at about 8 entries a row,
+        # random_search's k = 40 samples keep the sparse product
         path = tmp_path / "planted.txt"
         path.write_text(planted_edge_list())
         proc = run_cli("subgraph", path, "--k", 40, "--seed", 5, "--baselines")

@@ -1,5 +1,6 @@
 """Objective constructors: values, gradients, helper hooks, conversions."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,23 @@ class TestDenseSubgraph:
     def test_name(self):
         f, _ = make_dense_subgraph(triangle(), 1)
         assert f.name == "dense-subgraph"
+
+    def test_pair_table_memory_at_limit(self):
+        # unit weights at the dense-gather limit: the int8 pair table (4 MiB)
+        # is written straight from the CSR coordinates; a float64 toarray()
+        # on the way would alone read 32 MiB
+        n = _DENSE_GATHER_LIMIT
+        rng = np.random.default_rng(4)
+        a, b = rng.integers(0, n, 20 * n), rng.integers(0, n, 20 * n)
+        key = np.unique(np.minimum(a, b)[a != b] * n + np.maximum(a, b)[a != b])
+        g = SparseGraph(n, key // n, key % n, np.ones(len(key)))
+        tracemalloc.start()
+        try:
+            make_dense_subgraph(g, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n * n <= peak < 8 * (1 << 20)
 
 
 class TestHashingObjective:
