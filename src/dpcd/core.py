@@ -95,9 +95,17 @@ class Objective:
                         uses the optional flips_delta when set, else value
                         on each flipped copy
 
-    A fast field must agree with value up to rounding. coeff_abs_sum is
-    the entrywise absolute coefficient mass of a quadratic,
-    sum|A_ij| + sum|c_i|, used by step bounds.
+    A fast field must agree with value up to rounding. The solver also
+    reads one more:
+
+      value_gradient(x) (value(x), gradient(x)) from one pass over the
+                        work the two share; dpcd_solve evaluates each
+                        iterate through it when set, the last one too, so
+                        it must agree with value and gradient and must not
+                        raise where value alone would not
+
+    coeff_abs_sum is the entrywise absolute coefficient mass of a
+    quadratic, sum|A_ij| + sum|c_i|, used by step bounds.
     """
 
     dimension: int
@@ -107,6 +115,7 @@ class Objective:
     value_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     flips_delta: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     ones_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    value_gradient: Optional[Callable[[np.ndarray], tuple]] = None
     coeff_abs_sum: Optional[float] = None
     name: str = "objective"
 
@@ -281,19 +290,29 @@ def _best_of_blocks(score: Callable[[np.ndarray], np.ndarray], blocks, bar: floa
     return best_row, best, worst, count
 
 
-def _checked_value(f: Objective, x, iteration: int) -> float:
+def _checked_value(f: Objective, x, iteration: int, fused: bool = False):
+    """f(x), checked finite. With fused, the pair (f(x), gradient at x)
+    from value_gradient, or (f(x), None) when f declares none; that
+    gradient is checked by _checked_gradient when an iteration reads it,
+    so one that is never read (at the last iterate) raises nothing."""
     try:
-        v = float(f.value(x))
+        if fused and f.value_gradient is not None:
+            v, g = f.value_gradient(x)
+        else:
+            v, g = f.value(x), None
+        v = float(v)
     except (ArithmeticError, FloatingPointError) as e:
         raise NumericError(f"objective failed at iteration {iteration}: {e}") from e
     if not np.isfinite(v):
         raise NumericError(f"non-finite objective value at iteration {iteration}")
-    return v
+    return (v, g) if fused else v
 
 
-def _checked_gradient(f: Objective, x, iteration: int) -> np.ndarray:
+def _checked_gradient(f: Objective, x, iteration: int, g=None) -> np.ndarray:
+    """The gradient at x as a float array checked finite: g when a fused
+    evaluation already gave it, else f.gradient(x)."""
     try:
-        g = np.asarray(f.gradient(x), dtype=float)
+        g = np.asarray(f.gradient(x) if g is None else g, dtype=float)
     except (ArithmeticError, FloatingPointError) as e:
         raise NumericError(f"gradient failed at iteration {iteration}: {e}") from e
     if not np.all(np.isfinite(g)):

@@ -178,8 +178,11 @@ def evaluate_retrieval(query_codes, db_codes, query_labels, db_labels,
     if not (1 <= k <= nd):
         raise DomainError(f"cutoff k={k} outside [1, {nd}]")
     relevance = _relevance(query_labels, db_labels, nq, nd)
-    # queries are scored in row blocks, so memory stays linear in the
-    # database size
+    Qw = _packed_codes(Q)
+    # one contiguous row of database words per word position
+    Dw = np.ascontiguousarray(_packed_codes(D).T)
+    # relevance is built in query row blocks, so memory stays linear in
+    # the database size
     block = max(1, BLOCK_ENTRIES // nd)
     # distances are integers in [0, r]; held in the smallest unsigned type
     # that fits r, the stable argsort below is a radix sort
@@ -188,19 +191,30 @@ def evaluate_retrieval(query_codes, db_codes, query_labels, db_labels,
     hits_at_k = 0.0
     for start in range(0, nq, block):
         rows = slice(start, min(start + block, nq))
-        # Hamming distance from sign agreement: d = (r - <q, d>) / 2
-        dist = ((r - Q[rows] @ D.T) / 2.0).astype(dist_type)
         rel = relevance(rows)
-        for qi in range(dist.shape[0]):
-            order = np.argsort(dist[qi], kind="stable")
-            flags = rel[qi, order]
-            total = int(flags.sum())
+        for qi, q in enumerate(Qw[rows]):
+            # Hamming distance: the set bits of q XOR d, summed over words
+            dist = np.zeros(nd, dtype=dist_type)
+            for w, word in enumerate(q):
+                dist += np.bitwise_count(Dw[w] ^ word)
+            flags = rel[qi].take(np.argsort(dist, kind="stable"))
+            total = int(np.count_nonzero(flags))
             if total:
                 positions = np.nonzero(flags)[0]
                 precisions = np.arange(1, total + 1) / (positions + 1.0)
                 ap_sum += float(precisions.mean())
-            hits_at_k += float(flags[:k].sum()) / k
+            hits_at_k += int(np.count_nonzero(flags[:k])) / k
     return RetrievalScore(map=ap_sum / nq, precision_at_k=hits_at_k / nq, k=k)
+
+
+def _packed_codes(codes: np.ndarray) -> np.ndarray:
+    """(m, words) uint64 rows holding a set bit for each +1 entry of the
+    sign rows of codes, zero-padded to whole 64-bit words."""
+    bits = np.packbits(codes > 0, axis=1)
+    words = -(-bits.shape[1] // 8)
+    out = np.zeros((len(codes), 8 * words), dtype=np.uint8)
+    out[:, :bits.shape[1]] = bits
+    return out.view(np.uint64)
 
 
 def _relevance(query_labels, db_labels, nq: int, nd: int):

@@ -202,6 +202,11 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
         x = np.asarray(x, dtype=float)
         return 2.0 * (A @ x) + c
 
+    def value_gradient(x):
+        x = np.asarray(x, dtype=float)
+        Ax = A @ x
+        return float(x @ Ax + c @ x + d), 2.0 * Ax + c
+
     def value_batch(X):
         X = np.asarray(X, dtype=float)
         AX = (A @ X.T).T if sparse else X @ A
@@ -257,6 +262,7 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
         value_batch=value_batch,
         flips_delta=flips_delta,
         ones_batch=ones_batch,
+        value_gradient=value_gradient,
         coeff_abs_sum=total_abs + float(np.abs(c).sum()),
         name="quadratic",
     )
@@ -326,8 +332,9 @@ def make_hashing_objective(problem: HashingProblem, W: np.ndarray) -> Objective:
 
     W is fixed here (the alternating driver re-solves it between calls), so
     the W penalty is a constant carried for honest loss reporting. The
-    gradient in B is (BW - Y)W'. Row-major layout: entry i*r + t of the
-    flat vector is B[i, t].
+    gradient in B is RW' for the residual R = BW - Y, whose square sums to
+    the loss bit for bit as Y - BW's does. Row-major layout: entry i*r + t
+    of the flat vector is B[i, t].
     """
     Y = np.asarray(problem.Y, dtype=float)
     W = np.asarray(W, dtype=float)
@@ -340,20 +347,28 @@ def make_hashing_objective(problem: HashingProblem, W: np.ndarray) -> Objective:
     M = W @ W.T
     lipschitz = float(np.abs(M).sum(axis=1).max())
 
-    def value(b):
-        B = np.asarray(b, dtype=float).reshape(n, r)
-        R = Y - B @ W
+    def residual(b):
+        return np.asarray(b, dtype=float).reshape(n, r) @ W - Y
+
+    def loss(R):
         return float(0.5 * np.sum(R * R) + penalty)
 
+    def value(b):
+        return loss(residual(b))
+
     def gradient(b):
-        B = np.asarray(b, dtype=float).reshape(n, r)
-        return ((B @ W - Y) @ W.T).ravel()
+        return (residual(b) @ W.T).ravel()
+
+    def value_gradient(b):
+        R = residual(b)
+        return loss(R), (R @ W.T).ravel()
 
     return Objective(
         dimension=n * r,
         value=value,
         gradient=gradient,
         lipschitz=lipschitz,
+        value_gradient=value_gradient,
         name="hashing-regression",
     )
 
@@ -378,18 +393,26 @@ def make_affinity_objective(problem: AffinityProblem, r: Optional[int] = None) -
     if r < 1:
         raise DomainError("code length must be >= 1")
 
-    def value(b):
+    def codes_residual(b):
         B = np.asarray(b, dtype=float).reshape(n, r)
-        R = B @ B.T - scale * S
+        return B, B @ B.T - scale * S
+
+    def value(b):
+        _, R = codes_residual(b)
         return float(np.sum(R * R))
 
     def gradient(b):
-        B = np.asarray(b, dtype=float).reshape(n, r)
-        return (4.0 * (B @ B.T - scale * S) @ B).ravel()
+        B, R = codes_residual(b)
+        return (4.0 * R @ B).ravel()
+
+    def value_gradient(b):
+        B, R = codes_residual(b)
+        return float(np.sum(R * R)), (4.0 * R @ B).ravel()
 
     return Objective(
         dimension=n * r,
         value=value,
         gradient=gradient,
+        value_gradient=value_gradient,
         name="code-affinity",
     )

@@ -126,6 +126,11 @@ def derive_thresholds(gradient, policy: ThresholdPolicy, lipschitz: Optional[flo
     g = np.asarray(gradient, dtype=float)
     if not np.all(np.isfinite(g)):
         raise NumericError("gradient contains non-finite entries")
+    return _thresholds(g, policy, lipschitz)
+
+
+def _thresholds(g: np.ndarray, policy: ThresholdPolicy, lipschitz: Optional[float]):
+    # derive_thresholds on a float gradient already checked finite
     if policy.mode == LIPSCHITZ:
         if lipschitz is None:
             raise DomainError("lipschitz threshold policy needs the objective's L0")
@@ -140,23 +145,38 @@ def derive_thresholds(gradient, policy: ThresholdPolicy, lipschitz: Optional[flo
     return l1, l2
 
 
+def _principal_masks(positive: np.ndarray, g: np.ndarray, l1, l2,
+                     alpha1: float, alpha2: float):
+    """Boolean masks of s_plus and s_minus (see PrincipalSets) at the sign
+    vector whose +1 entries positive marks; a side whose threshold is None
+    is empty."""
+    plus = g > (math.inf if l1 is None else alpha1 * l1)
+    plus &= positive
+    minus = g < (-math.inf if l2 is None else -alpha2 * l2)
+    minus &= ~positive
+    return plus, minus
+
+
 def principal_sets(x: BinaryVector, gradient, l1, l2, alpha1: float, alpha2: float) -> PrincipalSets:
     g = np.asarray(gradient, dtype=float)
     if len(x) != len(g):
         raise DimensionError("point and gradient lengths differ")
-    if l1 is None:
-        s_plus = np.empty(0, dtype=np.intp)
-    else:
-        s_plus = np.nonzero((g > alpha1 * l1) & (x > 0))[0]
-    if l2 is None:
-        s_minus = np.empty(0, dtype=np.intp)
-    else:
-        s_minus = np.nonzero((g < -alpha2 * l2) & (x < 0))[0]
-    return PrincipalSets(s_plus, s_minus)
+    plus, minus = _principal_masks(np.asarray(x) > 0, g, l1, l2, alpha1, alpha2)
+    return PrincipalSets(np.flatnonzero(plus), np.flatnonzero(minus))
 
 
 def unconstrained_flip(x: BinaryVector, sets: PrincipalSets) -> BinaryVector:
     return _flipped(x, np.concatenate([sets.s_plus, sets.s_minus]))
+
+
+def _sign_vector(positive: np.ndarray) -> BinaryVector:
+    """Read-only float vector, +1 where positive is set and -1 elsewhere:
+    2*positive - 1, formed in place in one new array."""
+    x = positive.astype(float)
+    x *= 2.0
+    x -= 1.0
+    x.flags.writeable = False
+    return x
 
 
 def _top_by_magnitude(gradient, idx: np.ndarray, m: int) -> np.ndarray:
@@ -328,24 +348,32 @@ def dpcd_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
     else:
         x = feasible_point(initial_point, f.dimension, c, "initial point")
 
-    trajectory = [_checked_value(f, x, 0)]
+    # g is the gradient at x when value_gradient gave it along with the
+    # value, else None until the iteration asks f.gradient
+    value, g = _checked_value(f, x, 0, fused=True)
+    trajectory = [value]
     flips_per_iteration = []
     converged = False
     stall = 0
     cadence = cfg.neighborhood_cadence
 
     for k in range(1, cfg.max_iterations + 1):
-        g = _checked_gradient(f, x, k)
-        l1, l2 = derive_thresholds(g, policy, f.lipschitz)
-        sets = principal_sets(x, g, l1, l2, cfg.alpha1, cfg.alpha2)
-        # s_plus holds +1 entries and s_minus -1 entries, so the sets are
-        # disjoint and their sizes give the flip count
+        g = _checked_gradient(f, x, k, g)
+        l1, l2 = _thresholds(g, policy, f.lipschitz)
+        positive = x > 0
+        plus, minus = _principal_masks(positive, g, l1, l2, cfg.alpha1, cfg.alpha2)
+        # plus marks +1 entries and minus -1 entries, so the two are
+        # disjoint and their counts give the flip count
         if c.is_exact_ones:
+            sets = PrincipalSets(np.flatnonzero(plus), np.flatnonzero(minus))
             x_next = balanced_flip(x, g, sets)
             principal_flips = 2 * min(len(sets.s_plus), len(sets.s_minus))
         else:
-            x_next = unconstrained_flip(x, sets)
-            principal_flips = len(sets.s_plus) + len(sets.s_minus)
+            # flipping the masked entries toggles them in the +1 mask
+            plus |= minus
+            positive ^= plus
+            x_next = _sign_vector(positive)
+            principal_flips = int(np.count_nonzero(plus))
 
         moved = principal_flips
         exhaustive = False
@@ -354,7 +382,8 @@ def dpcd_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
                 x_next, f, c, cfg.neighborhood_radius, cfg.neighborhood_budget, rng)
             moved = hamming_distance(x, x_next)
         flips_per_iteration.append(moved)
-        trajectory.append(_checked_value(f, x_next, k))
+        value, g = _checked_value(f, x_next, k, fused=True)
+        trajectory.append(value)
         x = x_next
         if callback is not None:
             callback(x)

@@ -480,6 +480,27 @@ def planted_edge_list(n=1600, k=40, p_in=0.5, m_out=6000, seed=2024,
     return "\n".join([f"#nodes {n}"] + lines) + "\n"
 
 
+def hash_eval_files(tmp_path, multi_hot, n=400, nq=120, d=12, classes=5, seed=31):
+    """Training and query features with their labels, as binary matrix
+    files: Gaussian clusters around one centre per class, ids in one
+    column or, with multi_hot, each row's class plus a random second one."""
+    rng = np.random.default_rng(seed)
+    centres = rng.standard_normal((classes, d)) * 1.5
+    paths = []
+    for name, rows in (("train", n), ("query", nq)):
+        ids = rng.integers(0, classes, rows)
+        X = centres[ids] + rng.standard_normal((rows, d))
+        labels = ids[:, None].astype(float)
+        if multi_hot:
+            labels = (np.arange(classes)[None, :] == ids[:, None]).astype(float)
+            labels[np.arange(rows), rng.integers(0, classes, rows)] = 1.0
+        for kind, M in (("features", X), ("labels", labels)):
+            path = tmp_path / f"{name}-{kind}.bin"
+            save_matrix_binary(path, M)
+            paths.append(path)
+    return paths
+
+
 class TestSeededPins:
     """SHA-256 of seeded documents, fixed when they were last known good.
 
@@ -523,6 +544,22 @@ class TestSeededPins:
         assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(proc.stdout).hexdigest() == (
             "9cb766dad241c94bae680aa628b05d2cf6f15ae45fd0208a1f0d24b17ad83013")
+
+    @pytest.mark.parametrize("multi_hot,args,digest", [
+        (False, ("--code-length", 70, "--threshold-mode", "average", "--outer", 4,
+                 "--seed", 3),
+         "1a5bf2b7d00e35bfa6eaf6129a180fd356097996ad92e8d27850777c796602df"),
+        (True, ("--code-length", 20, "--seed", 4),
+         "c92a7d99e4243217862712e385e9715ed5879b07f96a6efd358ecf8ecf9d85e2"),
+    ], ids=["average-ids-r70", "lipschitz-multihot-r20"])
+    def test_hash_eval(self, tmp_path, multi_hot, args, digest):
+        # the code step and retrieval scoring both feed the document;
+        # r = 70 spans two 64-bit words of a packed code
+        files = hash_eval_files(tmp_path, multi_hot)
+        proc = run_cli("hash", files[0], files[1], *args, "--eval", files[2],
+                       "--eval-labels", files[3], "--topk", 25)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
     @pytest.mark.parametrize("args,digest", [
         (("--n", 14, "--constraint-r", 7, "--seed", 3),

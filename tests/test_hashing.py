@@ -307,6 +307,27 @@ class TestEvaluateRetrieval:
         assert (score.map, score.precision_at_k) == want
 
 
+    @pytest.mark.parametrize("r", [1, 7, 8, 9, 32, 63, 64, 65, 100])
+    def test_packed_distances_match_float_formula(self, r):
+        # whole and partial bytes and 64-bit words; the database repeats a
+        # few codes, so ties between distinct ids are common at every r
+        rng = np.random.default_rng(r)
+        q = signs(rng.standard_normal((30, r)))
+        base = signs(rng.standard_normal((40, r)))
+        db = base[rng.integers(0, 40, 400)]
+        db[:30] = q
+        ql = rng.integers(0, 5, 30)
+        dl = rng.integers(0, 5, 400)
+        want = whole_matrix_retrieval(q, db, ql[:, None] == dl[None, :], 17)
+        score = evaluate_retrieval(q, db, ql, dl, k=17)
+        assert (score.map, score.precision_at_k) == want
+        hot_q = rng.random((30, 5)) < 0.3
+        hot_d = rng.random((400, 5)) < 0.3
+        want = whole_matrix_retrieval(q, db, (hot_q @ hot_d.T.astype(int)) > 0, 17)
+        score = evaluate_retrieval(q, db, hot_q.astype(float), hot_d.astype(float), k=17)
+        assert (score.map, score.precision_at_k) == want
+
+
 class TestMatrixFiles:
     def test_binary_round_trip(self, tmp_path, rng):
         M = rng.standard_normal((7, 3))

@@ -4,19 +4,21 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from dpcd import (GRADIENT_AVERAGE, LIPSCHITZ, BoundUnavailableError,
-                  DimensionError, DomainError, NEIGHBORHOOD_CAP, NumericError,
-                  Objective, PrincipalSets, SolverConfig, ThresholdPolicy, UNCONSTRAINED,
-                  balanced_flip, binary_vector, constraint_check,
-                  derive_thresholds, dpcd_solve, effective_epsilon,
+from dpcd import (GRADIENT_AVERAGE, LIPSCHITZ, AffinityProblem, BoundUnavailableError,
+                  DimensionError, DomainError, HashingProblem, NEIGHBORHOOD_CAP,
+                  NumericError, Objective, PrincipalSets, SolverConfig, ThresholdPolicy,
+                  UNCONSTRAINED, alternating_hash, balanced_flip, binary_vector,
+                  constraint_check, derive_thresholds, dpcd_solve, effective_epsilon,
                   enumerate_neighborhood, exact_ones, exhaustive_oracle,
-                  hamming_distance, make_quadratic, make_shifted_separable,
+                  hamming_distance, make_affinity_objective, make_hashing_objective,
+                  make_quadratic, make_shifted_separable,
                   neighborhood_search, neighborhood_size, principal_sets,
                   random_feasible, random_search, step_bound,
                   unconstrained_flip)
 
-from dpcd import solver
+from dpcd import hashing, solver
 from dpcd.solver import _distinct_rows
 
 from conftest import random_quadratic
@@ -549,3 +551,130 @@ class TestStepBound:
                          gradient=lambda x: np.zeros(2))
         with pytest.raises(BoundUnavailableError):
             step_bound(bare, UNCONSTRAINED, 1.0)
+
+
+def fused_objective(family: str, seed: int) -> Objective:
+    """A small objective of one family that declares value_gradient."""
+    rng = np.random.default_rng(seed)
+    if family in ("dense", "sparse"):
+        return random_quadratic(int(rng.integers(2, 13)), seed, sparse=family == "sparse")
+    rows, r = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+    if family == "hashing":
+        Y = rng.standard_normal((rows, int(rng.integers(1, 4))))
+        W = rng.standard_normal((r, Y.shape[1]))
+        return make_hashing_objective(HashingProblem(Y=Y, lam=float(rng.uniform(0, 2)), r=r), W)
+    S = rng.standard_normal((rows, rows))
+    return make_affinity_objective(AffinityProblem(S=S + S.T, scale=float(r)))
+
+
+FAMILIES = st.sampled_from(["dense", "sparse", "hashing", "affinity"])
+
+
+def same_report(a, b) -> bool:
+    """Reports equal in every field but the wall time."""
+    return (np.array_equal(a.final_point, b.final_point)
+            and dataclasses.replace(a, final_point=None, wall_time=0.0)
+            == dataclasses.replace(b, final_point=None, wall_time=0.0))
+
+
+class TestFusedEvaluation:
+    """value_gradient against value and gradient, and the solver with and
+    without it."""
+
+    @given(family=FAMILIES, seed=st.integers(0, 2 ** 32 - 1), box=st.booleans())
+    def test_value_gradient_is_value_and_gradient(self, family, seed, box):
+        f = fused_objective(family, seed)
+        rng = np.random.default_rng(seed)
+        x = (rng.uniform(-1, 1, f.dimension) if box
+             else random_feasible(f.dimension, UNCONSTRAINED, rng))
+        value, g = f.value_gradient(x)
+        assert value == f.value(x)
+        assert np.asarray(g).tobytes() == np.asarray(f.gradient(x)).tobytes()
+
+    @given(family=FAMILIES, seed=st.integers(0, 2 ** 32 - 1),
+           mode=st.sampled_from([LIPSCHITZ, GRADIENT_AVERAGE]),
+           slice_=st.booleans(), cadence=st.sampled_from([0, 1, 3]))
+    def test_solve_matches_unfused(self, family, seed, mode, slice_, cadence):
+        f = fused_objective(family, seed)
+        if f.lipschitz is None:
+            mode = GRADIENT_AVERAGE
+        n = f.dimension
+        c = exact_ones(seed % (n + 1)) if slice_ else UNCONSTRAINED
+        cfg = SolverConfig(max_iterations=15, neighborhood_cadence=cadence,
+                           neighborhood_radius=2, neighborhood_budget=50,
+                           threshold_policy=ThresholdPolicy(mode=mode), seed=seed)
+        x0 = random_feasible(n, c, seed)
+        seen = [x0]
+        fused = dpcd_solve(f, c, cfg, initial_point=x0, callback=seen.append)
+        plain = dpcd_solve(dataclasses.replace(f, value_gradient=None), c, cfg,
+                           initial_point=x0)
+        assert same_report(fused, plain)
+        assert fused.value_trajectory == tuple(f.value(x) for x in seen)
+        if cadence == 0:
+            # every step is the public rule applied at the iterate before
+            for x, x_next in zip(seen, seen[1:]):
+                g = f.gradient(x)
+                l1, l2 = derive_thresholds(g, cfg.threshold_policy, f.lipschitz)
+                sets = principal_sets(x, g, l1, l2, cfg.alpha1, cfg.alpha2)
+                want = balanced_flip(x, g, sets) if slice_ else unconstrained_flip(x, sets)
+                assert np.array_equal(x_next, want)
+
+    @pytest.mark.parametrize("mode", [LIPSCHITZ, GRADIENT_AVERAGE])
+    def test_code_step_evaluates_each_iterate_once(self, monkeypatch, mode):
+        rng = np.random.default_rng(5)
+        labels = rng.integers(0, 3, 60)
+        X = labels[:, None] + rng.standard_normal((60, 4))
+        Y = np.eye(3)[labels]
+        counts, reports = [], []
+        build, solve = hashing.make_hashing_objective, hashing.dpcd_solve
+
+        def alone(*args):
+            raise AssertionError("value or gradient called on its own")
+
+        def counted_build(problem, W):
+            f = build(problem, W)
+            count = [0]
+            counts.append(count)
+
+            def value_gradient(b):
+                count[0] += 1
+                return f.value_gradient(b)
+
+            return dataclasses.replace(f, value=alone, gradient=alone,
+                                       value_gradient=value_gradient)
+
+        def recorded_solve(*args, **kwargs):
+            reports.append(solve(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(hashing, "make_hashing_objective", counted_build)
+        monkeypatch.setattr(hashing, "dpcd_solve", recorded_solve)
+        inner = dataclasses.replace(hashing.CODE_STEP,
+                                    threshold_policy=ThresholdPolicy(mode=mode))
+        alternating_hash(X, Y, 6, outer_iterations=3, inner=inner, seed=2)
+        assert reports and sum(rep.iterations for rep in reports) > len(reports)
+        assert [count[0] for count in counts] == [rep.iterations + 1 for rep in reports]
+
+    def test_unread_gradient_at_the_last_iterate_raises_nothing(self):
+        # the fused gradient of the final point is never read, as
+        # f.gradient there would never be called
+        base = random_quadratic(6, 3)
+
+        def value_gradient(x):
+            return base.value(x), np.full(6, np.nan)
+
+        f = dataclasses.replace(base, value_gradient=value_gradient)
+        cfg = SolverConfig(max_iterations=1, neighborhood_cadence=0)
+        x0 = random_feasible(6, UNCONSTRAINED, 1)
+        with pytest.raises(NumericError, match="non-finite gradient at iteration 1"):
+            dpcd_solve(f, UNCONSTRAINED, cfg, initial_point=x0)
+        calls = []
+
+        def first_finite(x):
+            calls.append(1)
+            return base.value(x), (base.gradient(x) if len(calls) == 1
+                                   else np.full(6, np.nan))
+
+        f = dataclasses.replace(base, value_gradient=first_finite)
+        rep = dpcd_solve(f, UNCONSTRAINED, cfg, initial_point=x0)
+        assert rep.iterations == 1 and len(calls) == 2
