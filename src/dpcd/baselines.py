@@ -23,11 +23,12 @@ from .core import (
     _checked_gradient,
     _checked_value,
     _flipped,
+    _report,
     _sign_rows,
+    _sign_vector,
+    _start_point,
     check_feasible,
-    feasible_point,
     hamming_distance,
-    random_feasible,
     signs,
 )
 
@@ -58,19 +59,18 @@ def sgm_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
     if c.is_exact_ones:
         raise UnsupportedConstraintError("signed-gradient iteration is unconstrained only")
     started = time.perf_counter()
-    if initial_point is None:
-        x = random_feasible(f.dimension, c, seed)
-    else:
-        x = feasible_point(initial_point, f.dimension, c, "initial point")
-    trajectory = [_checked_value(f, x, 0)]
+    x = _start_point(f, c, initial_point, seed)
+    value, g = _checked_value(f, x, 0)
+    trajectory = [value]
     flips = []
     flags = ()
     converged = False
     previous = None
     for k in range(1, max_iterations + 1):
-        x_next = signs(-_checked_gradient(f, x, k))
+        x_next = signs(-_checked_gradient(f, x, k, g))
         flips.append(hamming_distance(x, x_next))
-        trajectory.append(_checked_value(f, x_next, k))
+        value, g = _checked_value(f, x_next, k)
+        trajectory.append(value)
         if np.array_equal(x_next, x):
             converged = True
             x = x_next
@@ -81,17 +81,7 @@ def sgm_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
             break
         previous = x
         x = x_next
-    return SolverReport(
-        final_point=x,
-        final_value=trajectory[-1],
-        iterations=len(flips),
-        flips_per_iteration=tuple(flips),
-        value_trajectory=tuple(trajectory),
-        converged=converged,
-        wall_time=time.perf_counter() - started,
-        rng_seed=seed,
-        flags=flags,
-    )
+    return _report(x, trajectory, flips, converged, started, seed, flags)
 
 
 def _feasible_blocks(n: int, c: ConstraintSpec):
@@ -206,6 +196,4 @@ def greedy_peel(graph, k: int) -> BinaryVector:
         # the fancy-indexed -= subtracts once per index; the cached CSR
         # adjacency is canonical, so each neighbour appears once per row
         rdeg[last - W.indices[lo:hi]] -= W.data[lo:hi]
-    x = np.where(kept, 1.0, -1.0)
-    x.flags.writeable = False
-    return x
+    return _sign_vector(kept)

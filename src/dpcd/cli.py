@@ -236,8 +236,10 @@ def _quad_from_file(path):
         d = float(spec.get("d", 0.0))
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"problem file needs numeric fields A and c: {e}") from e
-    r = spec.get("r", None)
-    return make_quadratic(A, c, d), (exact_ones(int(r)) if r is not None else UNCONSTRAINED)
+    r = spec.get("r")
+    if r is not None and type(r) is not int:
+        raise ParseError(f"problem file field r must be an integer, got {r!r}")
+    return make_quadratic(A, c, d), (UNCONSTRAINED if r is None else exact_ones(r))
 
 
 def _problem(args, missing: str):
@@ -363,6 +365,8 @@ _BENCH_DEFAULTS = {
 
 
 def cmd_bench(args) -> int:
+    if args.seed < 0:
+        raise DomainError(f"--seed must be >= 0, got {args.seed}")
     defaults = _BENCH_DEFAULTS[args.suite]
     for flag in ("methods", "n", "k", "instances", "sizes"):
         if getattr(args, flag) is None:

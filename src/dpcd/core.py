@@ -9,6 +9,7 @@ that one solver can drive every problem family.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -99,10 +100,11 @@ class Objective:
     reads one more:
 
       value_gradient(x) (value(x), gradient(x)) from one pass over the
-                        work the two share; dpcd_solve evaluates each
-                        iterate through it when set, the last one too, so
-                        it must agree with value and gradient and must not
-                        raise where value alone would not
+                        work the two share; dpcd_solve and sgm_solve
+                        evaluate each iterate through it when set, the
+                        last one too, so it must agree with value and
+                        gradient and must not raise where value alone
+                        would not
 
     coeff_abs_sum is the entrywise absolute coefficient mass of a
     quadratic, sum|A_ij| + sum|c_i|, used by step bounds.
@@ -122,8 +124,8 @@ class Objective:
     def __post_init__(self):
         if self.dimension < 1:
             raise DomainError("objective dimension must be >= 1")
-        if self.lipschitz is not None and self.lipschitz < 0:
-            raise DomainError("lipschitz constant must be nonnegative")
+        if self.lipschitz is not None and not 0 <= self.lipschitz < math.inf:
+            raise DomainError("lipschitz constant must be finite and nonnegative")
 
     def values(self, X: np.ndarray) -> np.ndarray:
         if self.value_batch is not None:
@@ -241,11 +243,46 @@ def random_feasible(n: int, c: ConstraintSpec, seed) -> BinaryVector:
     check_feasible(n, c)
     rng = np.random.default_rng(seed)
     if c.is_exact_ones:
-        x = -np.ones(n)
+        positive = np.zeros(n, dtype=bool)
         # permutation prefix is a uniform r-subset
-        x[rng.permutation(n)[: c.r]] = 1.0
+        positive[rng.permutation(n)[: c.r]] = True
     else:
-        x = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        positive = rng.integers(0, 2, size=n)
+    return _sign_vector(positive)
+
+
+def _start_point(f: Objective, c: ConstraintSpec, initial_point, seed) -> np.ndarray:
+    """A solver's first iterate: initial_point checked feasible, or a
+    random feasible point drawn from seed (as in random_feasible) when
+    none is given."""
+    if initial_point is None:
+        return random_feasible(f.dimension, c, seed)
+    return feasible_point(initial_point, f.dimension, c, "initial point")
+
+
+def _report(x, trajectory: list, flips: list, converged: bool, started: float,
+            seed: int, flags: tuple = ()) -> SolverReport:
+    """The SolverReport of a run that ended at x and began at the
+    perf_counter time `started`."""
+    return SolverReport(
+        final_point=x,
+        final_value=trajectory[-1],
+        iterations=len(flips),
+        flips_per_iteration=tuple(flips),
+        value_trajectory=tuple(trajectory),
+        converged=converged,
+        wall_time=time.perf_counter() - started,
+        rng_seed=seed,
+        flags=flags,
+    )
+
+
+def _sign_vector(positive: np.ndarray) -> BinaryVector:
+    """Read-only float vector, +1 where positive is set (True or 1) and
+    -1 elsewhere: 2*positive - 1, formed in place in one new array."""
+    x = positive.astype(float)
+    x *= 2.0
+    x -= 1.0
     x.flags.writeable = False
     return x
 
@@ -290,13 +327,13 @@ def _best_of_blocks(score: Callable[[np.ndarray], np.ndarray], blocks, bar: floa
     return best_row, best, worst, count
 
 
-def _checked_value(f: Objective, x, iteration: int, fused: bool = False):
-    """f(x), checked finite. With fused, the pair (f(x), gradient at x)
-    from value_gradient, or (f(x), None) when f declares none; that
+def _checked_value(f: Objective, x, iteration: int):
+    """(f(x) checked finite, the gradient at x or None): the pair from
+    value_gradient when f declares one, else (f.value(x), None). That
     gradient is checked by _checked_gradient when an iteration reads it,
     so one that is never read (at the last iterate) raises nothing."""
     try:
-        if fused and f.value_gradient is not None:
+        if f.value_gradient is not None:
             v, g = f.value_gradient(x)
         else:
             v, g = f.value(x), None
@@ -305,12 +342,12 @@ def _checked_value(f: Objective, x, iteration: int, fused: bool = False):
         raise NumericError(f"objective failed at iteration {iteration}: {e}") from e
     if not np.isfinite(v):
         raise NumericError(f"non-finite objective value at iteration {iteration}")
-    return (v, g) if fused else v
+    return v, g
 
 
 def _checked_gradient(f: Objective, x, iteration: int, g=None) -> np.ndarray:
-    """The gradient at x as a float array checked finite: g when a fused
-    evaluation already gave it, else f.gradient(x)."""
+    """The gradient at x as a float array checked finite: g when
+    _checked_value already gave it, else f.gradient(x)."""
     try:
         g = np.asarray(f.gradient(x) if g is None else g, dtype=float)
     except (ArithmeticError, FloatingPointError) as e:

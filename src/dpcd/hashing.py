@@ -9,6 +9,7 @@ Also hosts the dense-matrix file formats the command line accepts.
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -56,21 +57,24 @@ class RetrievalScore:
     k: int
 
 
+def _ridge_solve(G: np.ndarray, ridge: float, rhs: np.ndarray, singular: str) -> np.ndarray:
+    """(G + ridge I)^-1 rhs; a singular system raises NumericError(singular)."""
+    try:
+        return np.linalg.solve(G + ridge * np.eye(len(G)), rhs)
+    except np.linalg.LinAlgError as e:
+        raise NumericError(singular) from e
+
+
 def solve_w(B: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
     """Exact ridge solution W = (B'B + lam I)^-1 B'Y."""
     B = np.asarray(B, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if B.shape[0] != Y.shape[0]:
         raise DimensionError(f"codes have {B.shape[0]} rows, labels {Y.shape[0]}")
-    if lam < 0:
-        raise DomainError("lam must be nonnegative")
-    r = B.shape[1]
-    G = B.T @ B + lam * np.eye(r)
-    try:
-        return np.linalg.solve(G, B.T @ Y)
-    except np.linalg.LinAlgError as e:
-        raise NumericError(
-            "code Gram matrix is singular; use lam > 0 to regularize") from e
+    if not 0 <= lam < math.inf:
+        raise DomainError("lam must be finite and nonnegative")
+    return _ridge_solve(B.T @ B, lam, B.T @ Y,
+                        "code Gram matrix is singular; use lam > 0 to regularize")
 
 
 def solve_projection(X: np.ndarray, B: np.ndarray, ridge: Optional[float] = None) -> np.ndarray:
@@ -84,12 +88,9 @@ def solve_projection(X: np.ndarray, B: np.ndarray, ridge: Optional[float] = None
     G = X.T @ X
     if ridge is None:
         ridge = 1e-8 * float(np.trace(G)) / d
-    if ridge < 0:
-        raise DomainError("ridge must be nonnegative")
-    try:
-        return np.linalg.solve(G + ridge * np.eye(d), X.T @ B)
-    except np.linalg.LinAlgError as e:
-        raise NumericError("feature Gram matrix is singular; pass ridge > 0") from e
+    elif not 0 <= ridge < math.inf:
+        raise DomainError("ridge must be finite and nonnegative")
+    return _ridge_solve(G, ridge, X.T @ B, "feature Gram matrix is singular; pass ridge > 0")
 
 
 def encode(X: np.ndarray, P: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from .core import (
     BLOCK_ENTRIES,
     DimensionError,
     DomainError,
+    NumericError,
     Objective,
     exact_ones,
 )
@@ -43,8 +44,8 @@ class HashingProblem:
     def __post_init__(self):
         if self.r < 1:
             raise DomainError("code length must be >= 1")
-        if self.lam < 0:
-            raise DomainError("regularization must be nonnegative")
+        if not 0 <= self.lam < math.inf:
+            raise DomainError("regularization must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,14 @@ def _symmetrized(A, label: str):
         warnings.warn(f"{label} was not symmetric; symmetrized as (A + A')/2")
         return (A + A.T) * 0.5
     return A
+
+
+def _finite_lipschitz(lipschitz: float) -> float:
+    """lipschitz, checked finite: coefficients whose row sums overflow,
+    or hold a NaN, raise NumericError."""
+    if not math.isfinite(lipschitz):
+        raise NumericError(f"non-finite Lipschitz bound {lipschitz} from the coefficients")
+    return lipschitz
 
 
 def _pair_table(A) -> np.ndarray:
@@ -173,7 +182,7 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
     total_abs = float(abs_A.sum())
     del abs_A  # before the pair table is built
     diag = A.diagonal()
-    lipschitz = 2.0 * float(row_abs.max()) if n else 0.0
+    lipschitz = _finite_lipschitz(2.0 * float(row_abs.max()) if n else 0.0)
 
     table = _pair_table(A) if sparse and n <= _DENSE_GATHER_LIMIT else None
     if sparse and table is None:
@@ -193,14 +202,6 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
     A1 = np.asarray(A.sum(axis=1)).ravel()
     ones_linear = 2.0 * c - 4.0 * A1
     ones_constant = float(A1.sum()) - float(c.sum()) + d
-
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        return float(x @ (A @ x) + c @ x + d)
-
-    def gradient(x):
-        x = np.asarray(x, dtype=float)
-        return 2.0 * (A @ x) + c
 
     def value_gradient(x):
         x = np.asarray(x, dtype=float)
@@ -256,8 +257,8 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
 
     return Objective(
         dimension=n,
-        value=value,
-        gradient=gradient,
+        value=lambda x: value_gradient(x)[0],
+        gradient=lambda x: value_gradient(x)[1],
         lipschitz=lipschitz,
         value_batch=value_batch,
         flips_delta=flips_delta,
@@ -278,7 +279,7 @@ def make_shifted_separable(beta) -> Objective:
     beta = np.asarray(beta, dtype=float).reshape(-1)
     if beta.size < 1:
         raise DomainError("beta must be non-empty")
-    if np.any(beta <= 0) or np.any(beta >= 1):
+    if not np.all((beta > 0) & (beta < 1)):
         raise DomainError("every beta_i must lie strictly inside (0, 1)")
     n = beta.size
 
@@ -321,9 +322,7 @@ def make_dense_subgraph(graph, k: int):
     n = graph.n
     if k < 0 or k > n:
         raise DomainError(f"k={k} outside [0, {n}]")
-    W = graph.matrix()
-    degrees = np.asarray(W.sum(axis=1)).ravel()
-    obj = make_quadratic(-W, -2.0 * degrees, 0.0)
+    obj = make_quadratic(-graph.matrix(), -2.0 * graph.degrees(), 0.0)
     return replace(obj, name="dense-subgraph"), exact_ones(k)
 
 
@@ -345,7 +344,7 @@ def make_hashing_objective(problem: HashingProblem, W: np.ndarray) -> Objective:
             f"W is {W.shape}, expected ({r}, {classes}) to match codes and labels")
     penalty = 0.5 * problem.lam * float(np.sum(W * W))
     M = W @ W.T
-    lipschitz = float(np.abs(M).sum(axis=1).max())
+    lipschitz = _finite_lipschitz(float(np.abs(M).sum(axis=1).max()))
 
     def residual(b):
         return np.asarray(b, dtype=float).reshape(n, r) @ W - Y
@@ -353,20 +352,14 @@ def make_hashing_objective(problem: HashingProblem, W: np.ndarray) -> Objective:
     def loss(R):
         return float(0.5 * np.sum(R * R) + penalty)
 
-    def value(b):
-        return loss(residual(b))
-
-    def gradient(b):
-        return (residual(b) @ W.T).ravel()
-
     def value_gradient(b):
         R = residual(b)
         return loss(R), (R @ W.T).ravel()
 
     return Objective(
         dimension=n * r,
-        value=value,
-        gradient=gradient,
+        value=lambda b: loss(residual(b)),
+        gradient=lambda b: value_gradient(b)[1],
         lipschitz=lipschitz,
         value_gradient=value_gradient,
         name="hashing-regression",
@@ -397,22 +390,17 @@ def make_affinity_objective(problem: AffinityProblem, r: Optional[int] = None) -
         B = np.asarray(b, dtype=float).reshape(n, r)
         return B, B @ B.T - scale * S
 
-    def value(b):
-        _, R = codes_residual(b)
+    def loss(R):
         return float(np.sum(R * R))
-
-    def gradient(b):
-        B, R = codes_residual(b)
-        return (4.0 * R @ B).ravel()
 
     def value_gradient(b):
         B, R = codes_residual(b)
-        return float(np.sum(R * R)), (4.0 * R @ B).ravel()
+        return loss(R), (4.0 * R @ B).ravel()
 
     return Objective(
         dimension=n * r,
-        value=value,
-        gradient=gradient,
+        value=lambda b: loss(codes_residual(b)[1]),
+        gradient=lambda b: value_gradient(b)[1],
         value_gradient=value_gradient,
         name="code-affinity",
     )

@@ -32,9 +32,11 @@ from .core import (
     _checked_gradient,
     _checked_value,
     _flipped,
+    _report,
+    _sign_vector,
+    _start_point,
     feasible_point,
     hamming_distance,
-    random_feasible,
 )
 
 LIPSCHITZ = "lipschitz"
@@ -67,8 +69,8 @@ class ThresholdPolicy:
     def __post_init__(self):
         if self.mode not in (LIPSCHITZ, GRADIENT_AVERAGE):
             raise DomainError(f"unknown threshold mode: {self.mode!r}")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise DomainError("epsilon must be positive")
+        if self.epsilon is not None and not 0 < self.epsilon < math.inf:
+            raise DomainError("epsilon must be positive and finite")
 
 
 def effective_epsilon(policy: ThresholdPolicy, lipschitz: float) -> float:
@@ -101,8 +103,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha1 <= 0 or self.alpha2 <= 0:
-            raise DomainError("alpha1 and alpha2 must be positive")
+        if not (0 < self.alpha1 < math.inf and 0 < self.alpha2 < math.inf):
+            raise DomainError("alpha1 and alpha2 must be positive and finite")
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be >= 1")
         if min(self.neighborhood_cadence, self.neighborhood_radius,
@@ -110,6 +112,8 @@ class SolverConfig:
             raise DomainError("neighborhood settings must be nonnegative")
         if self.neighborhood_budget < 1:
             raise DomainError("neighborhood_budget must be >= 1")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -167,16 +171,6 @@ def principal_sets(x: BinaryVector, gradient, l1, l2, alpha1: float, alpha2: flo
 
 def unconstrained_flip(x: BinaryVector, sets: PrincipalSets) -> BinaryVector:
     return _flipped(x, np.concatenate([sets.s_plus, sets.s_minus]))
-
-
-def _sign_vector(positive: np.ndarray) -> BinaryVector:
-    """Read-only float vector, +1 where positive is set and -1 elsewhere:
-    2*positive - 1, formed in place in one new array."""
-    x = positive.astype(float)
-    x *= 2.0
-    x -= 1.0
-    x.flags.writeable = False
-    return x
 
 
 def _top_by_magnitude(gradient, idx: np.ndarray, m: int) -> np.ndarray:
@@ -343,14 +337,10 @@ def dpcd_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
         raise DomainError("lipschitz threshold policy needs an objective with L0")
 
     rng = np.random.default_rng(cfg.seed)
-    if initial_point is None:
-        x = random_feasible(f.dimension, c, rng)
-    else:
-        x = feasible_point(initial_point, f.dimension, c, "initial point")
-
+    x = _start_point(f, c, initial_point, rng)
     # g is the gradient at x when value_gradient gave it along with the
     # value, else None until the iteration asks f.gradient
-    value, g = _checked_value(f, x, 0, fused=True)
+    value, g = _checked_value(f, x, 0)
     trajectory = [value]
     flips_per_iteration = []
     converged = False
@@ -382,7 +372,7 @@ def dpcd_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
                 x_next, f, c, cfg.neighborhood_radius, cfg.neighborhood_budget, rng)
             moved = hamming_distance(x, x_next)
         flips_per_iteration.append(moved)
-        value, g = _checked_value(f, x_next, k, fused=True)
+        value, g = _checked_value(f, x_next, k)
         trajectory.append(value)
         x = x_next
         if callback is not None:
@@ -400,16 +390,7 @@ def dpcd_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
             converged = True
             break
 
-    return SolverReport(
-        final_point=x,
-        final_value=trajectory[-1],
-        iterations=len(flips_per_iteration),
-        flips_per_iteration=tuple(flips_per_iteration),
-        value_trajectory=tuple(trajectory),
-        converged=converged,
-        wall_time=time.perf_counter() - started,
-        rng_seed=cfg.seed,
-    )
+    return _report(x, trajectory, flips_per_iteration, converged, started, cfg.seed)
 
 
 def step_bound(f: Objective, c: ConstraintSpec, epsilon: float,

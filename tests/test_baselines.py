@@ -76,7 +76,7 @@ def nan_valued(f):
     """f with every value NaN; the gradient is left finite."""
     return dataclasses.replace(f, value=lambda x: float("nan"),
                                value_batch=lambda X: np.full(len(X), np.nan),
-                               ones_batch=None)
+                               ones_batch=None, value_gradient=None)
 
 
 def random_graph(n, edges, weights, seed):

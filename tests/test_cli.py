@@ -61,6 +61,8 @@ def check_schema(doc, kind):
         assert isinstance(value, _TYPES[tname]), (key, tname, value)
         if tname in ("integer", "number"):
             assert not isinstance(value, bool), key
+    # strict RFC 8259: no NaN or Infinity token anywhere in the document
+    json.dumps(doc, allow_nan=False)
 
 
 @pytest.fixture
@@ -711,6 +713,57 @@ class TestBench:
         out, err = capsys.readouterr()
         assert out == ""
         assert message in err
+
+
+def input_error(argv, capsys, word):
+    """argv exits 2 with one `error:` line naming word, and prints nothing
+    on stdout."""
+    assert cli.main([str(a) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and word in err, err
+
+
+class TestOutOfRangeParameters:
+    """Out-of-range flag and file values are input errors (exit 2)."""
+
+    @pytest.mark.parametrize("argv,word", [
+        (("quad", "--n", 6, "--alpha1", "nan"), "alpha1"),
+        (("quad", "--n", 6, "--alpha1", "nan", "--epsilon", "nan"), "epsilon"),
+        (("quad", "--n", 6, "--alpha2", "inf"), "alpha1 and alpha2"),
+        (("quad", "--n", 6, "--epsilon", "inf"), "epsilon"),
+        (("oracle", "--n", 4, "--epsilon", "nan"), "epsilon"),
+    ])
+    def test_non_finite_solver_parameter(self, argv, word, capsys):
+        # these used to exit 0 with NaN or Infinity in the JSON document
+        input_error(argv, capsys, word)
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda(self, hash_files, lam, capsys):
+        # this used to exit 1 as a numeric failure
+        feat, lab, _, _ = hash_files
+        input_error(("hash", feat, lab, "--code-length", 4, "--lambda", lam),
+                    capsys, "regularization")
+
+    @pytest.mark.parametrize("command", ["quad", "oracle", "subgraph", "hash", "bench"])
+    def test_negative_seed(self, command, hash_files, triangle_path, capsys):
+        # each used to end in a numpy traceback (exit 1)
+        feat, lab, _, _ = hash_files
+        argv = {
+            "quad": ("quad", "--n", 4),
+            "oracle": ("oracle", "--n", 4),
+            "subgraph": ("subgraph", triangle_path, "--k", 2),
+            "hash": ("hash", feat, lab, "--code-length", 4),
+            "bench": ("bench", "--n", 20, "--k", 3, "--instances", 1),
+        }[command]
+        input_error((*argv, "--seed", -1), capsys, "seed must be >= 0")
+
+    @pytest.mark.parametrize("r", ['"x"', "1.7", "true", "[2]"])
+    def test_problem_r_must_be_an_integer(self, tmp_path, r, capsys):
+        # "x" used to end in a traceback (exit 1), and 1.7 ran as r = 1
+        path = tmp_path / "problem.json"
+        path.write_text('{"A": [[1, 0], [0, 1]], "c": [1, -1], "r": %s}' % r)
+        input_error(("quad", "--problem", path), capsys, "field r must be an integer")
 
 
 class TestTopLevel:

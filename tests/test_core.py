@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import dpcd
 from dpcd import (DimensionError, DomainError, NumericError, UNCONSTRAINED,
                   binary_vector, constraint_check, exact_ones,
                   hamming_distance, random_feasible, sign, signs)
-from dpcd.core import _best_of_blocks, _flipped, feasible_point
+from dpcd.core import _best_of_blocks, _flipped, _sign_vector, feasible_point
 
 
 class TestSign:
@@ -193,3 +194,36 @@ def test_flipped_is_a_read_only_copy():
     y = _flipped(x, [0, 1])
     assert y.tolist() == [-1, 1, 1] and not y.flags.writeable
     assert x.tolist() == [1, -1, 1]
+
+
+_PARAMETER_SITES = {
+    "alpha1": lambda v: dpcd.SolverConfig(alpha1=v),
+    "alpha2": lambda v: dpcd.SolverConfig(alpha2=v),
+    "epsilon": lambda v: dpcd.ThresholdPolicy(epsilon=v),
+    "lipschitz": lambda v: dpcd.Objective(dimension=1, value=abs, gradient=abs, lipschitz=v),
+    "lam": lambda v: dpcd.HashingProblem(Y=np.eye(2), lam=v, r=1),
+    "solve_w": lambda v: dpcd.hashing.solve_w(np.ones((2, 1)), np.eye(2), v),
+    "ridge": lambda v: dpcd.hashing.solve_projection(np.eye(2), np.ones((2, 1)), v),
+    "beta": lambda v: dpcd.make_shifted_separable([0.5, v]),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_PARAMETER_SITES))
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_parameter_is_a_domain_error(site, bad):
+    with pytest.raises(DomainError):
+        _PARAMETER_SITES[site](bad)
+
+
+def test_negative_seed_is_a_domain_error():
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        dpcd.SolverConfig(seed=-1)
+
+
+@pytest.mark.parametrize("positive", [
+    np.array([True, False, True]), np.array([1, 0, 1]),
+])
+def test_sign_vector(positive):
+    x = _sign_vector(positive)
+    assert x.tolist() == [1.0, -1.0, 1.0] and x.dtype == float
+    assert not x.flags.writeable

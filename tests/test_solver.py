@@ -15,7 +15,7 @@ from dpcd import (GRADIENT_AVERAGE, LIPSCHITZ, AffinityProblem, BoundUnavailable
                   hamming_distance, make_affinity_objective, make_hashing_objective,
                   make_quadratic, make_shifted_separable,
                   neighborhood_search, neighborhood_size, principal_sets,
-                  random_feasible, random_search, step_bound,
+                  random_feasible, random_search, sgm_solve, step_bound,
                   unconstrained_flip)
 
 from dpcd import hashing, solver
@@ -654,6 +654,32 @@ class TestFusedEvaluation:
         alternating_hash(X, Y, 6, outer_iterations=3, inner=inner, seed=2)
         assert reports and sum(rep.iterations for rep in reports) > len(reports)
         assert [count[0] for count in counts] == [rep.iterations + 1 for rep in reports]
+
+    @given(family=FAMILIES, seed=st.integers(0, 2 ** 32 - 1))
+    def test_sgm_evaluates_each_iterate_once(self, family, seed):
+        base = fused_objective(family, seed)
+        count = [0]
+
+        def alone(*args):
+            raise AssertionError("value or gradient called on its own")
+
+        def value_gradient(x):
+            count[0] += 1
+            return base.value_gradient(x)
+
+        f = dataclasses.replace(base, value=alone, gradient=alone,
+                                value_gradient=value_gradient)
+        rep = sgm_solve(f, max_iterations=15, seed=seed)
+        assert rep.iterations >= 1
+        assert count[0] == rep.iterations + 1
+
+    @given(family=FAMILIES, seed=st.integers(0, 2 ** 32 - 1))
+    def test_sgm_matches_unfused(self, family, seed):
+        f = fused_objective(family, seed)
+        fused = sgm_solve(f, max_iterations=15, seed=seed)
+        plain = sgm_solve(dataclasses.replace(f, value_gradient=None),
+                          max_iterations=15, seed=seed)
+        assert same_report(fused, plain)
 
     def test_unread_gradient_at_the_last_iterate_raises_nothing(self):
         # the fused gradient of the final point is never read, as
