@@ -28,6 +28,7 @@ from .core import (
     _sign_vector,
     _start_point,
     check_feasible,
+    check_seed,
     hamming_distance,
     signs,
 )
@@ -58,6 +59,7 @@ def sgm_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
     """
     if c.is_exact_ones:
         raise UnsupportedConstraintError("signed-gradient iteration is unconstrained only")
+    check_seed(seed)
     started = time.perf_counter()
     x = _start_point(f, c, initial_point, seed)
     value, g = _checked_value(f, x, 0)
@@ -159,6 +161,7 @@ def random_search(f: Objective, c: ConstraintSpec, samples: int, seed=0) -> Orac
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
+    check_seed(seed)
     check_feasible(f.dimension, c)
     rng = np.random.default_rng(seed)
     score = f.values_on_ones if c.is_exact_ones else f.values

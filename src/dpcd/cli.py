@@ -236,6 +236,10 @@ def _quad_from_file(path):
         d = float(spec.get("d", 0.0))
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"problem file needs numeric fields A and c: {e}") from e
+    # json.load reads NaN, Infinity and -Infinity as numbers
+    for name, field in (("A", A), ("c", c), ("d", d)):
+        if not np.isfinite(field).all():
+            raise ParseError(f"problem file field {name} holds a non-finite number")
     r = spec.get("r")
     if r is not None and type(r) is not int:
         raise ParseError(f"problem file field r must be an integer, got {r!r}")

@@ -9,7 +9,11 @@ that one solver can drive every problem family.
 from __future__ import annotations
 
 import math
+import numbers
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -18,8 +22,14 @@ import numpy as np
 BinaryVector = np.ndarray
 
 # entries in one scratch block of a batched loop (random-search samples,
-# retrieval distances), so memory does not grow with the number of rows
+# retrieval relevance), so memory does not grow with the number of rows
 BLOCK_ENTRIES = 1 << 22
+
+# entries in one span of a pass that _map_spans spreads over the cores
+# (2 MiB of float64); on hash-retrieval's 1.6M-entry code vector and 2
+# cores, 2^17, 2^18 and two equal halves ran within noise of each other,
+# and 2^19 (three spans, one core idle for the last) 5-10 % slower
+SPAN_ENTRIES = 1 << 18
 
 
 class DomainError(ValueError):
@@ -232,6 +242,13 @@ def feasible_point(x, n: int, c: ConstraintSpec, what: str = "point") -> np.ndar
     return x
 
 
+def check_seed(seed) -> None:
+    """Raise DomainError naming a negative numeric seed; any other seed (a
+    numpy Generator, say) is left for numpy to accept or refuse."""
+    if isinstance(seed, numbers.Real) and seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+
+
 def random_feasible(n: int, c: ConstraintSpec, seed) -> BinaryVector:
     """Uniform feasible point; deterministic given the seed.
 
@@ -240,6 +257,7 @@ def random_feasible(n: int, c: ConstraintSpec, seed) -> BinaryVector:
     """
     if n < 1:
         raise DomainError("n must be >= 1")
+    check_seed(seed)
     check_feasible(n, c)
     rng = np.random.default_rng(seed)
     if c.is_exact_ones:
@@ -345,13 +363,70 @@ def _checked_value(f: Objective, x, iteration: int):
     return v, g
 
 
-def _checked_gradient(f: Objective, x, iteration: int, g=None) -> np.ndarray:
-    """The gradient at x as a float array checked finite: g when
+def _gradient(f: Objective, x, iteration: int, g=None) -> np.ndarray:
+    """The gradient at x as a float array, not yet checked finite: g when
     _checked_value already gave it, else f.gradient(x)."""
     try:
-        g = np.asarray(f.gradient(x) if g is None else g, dtype=float)
+        return np.asarray(f.gradient(x) if g is None else g, dtype=float)
     except (ArithmeticError, FloatingPointError) as e:
         raise NumericError(f"gradient failed at iteration {iteration}: {e}") from e
+
+
+def _checked_gradient(f: Objective, x, iteration: int, g=None) -> np.ndarray:
+    """_gradient checked finite."""
+    g = _gradient(f, x, iteration, g)
     if not np.all(np.isfinite(g)):
         raise NumericError(f"non-finite gradient at iteration {iteration}")
     return g
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# (pid, executor or None for one worker) of the pool _map_spans runs on,
+# built on first use; the lock keeps two first uses from building two
+_span_pool = None
+_span_pool_lock = threading.Lock()
+
+
+def _span_executor():
+    """This process's span pool: one thread per CPU of _worker_count, or
+    None when that is one. A pool inherited through fork has no threads
+    (work sent to it never runs), so a forked child builds its own."""
+    global _span_pool
+    with _span_pool_lock:
+        if _span_pool is None or _span_pool[0] != os.getpid():
+            workers = _worker_count()
+            _span_pool = (os.getpid(), ThreadPoolExecutor(workers) if workers > 1 else None)
+        return _span_pool[1]
+
+
+def _map_spans(fn: Callable[[int, int], object], total: int, width: int = 1) -> list:
+    """[fn(lo, hi) for each span of range(total)], in span order.
+
+    An item is width entries (a query's distances, say), and a span holds
+    SPAN_ENTRIES // width items (at least one), the last span the
+    remainder too, so no span is short. The spans depend on total and
+    width only, never on the worker count: a fn that writes its own slice
+    of shared arrays and leaves every reduction to one call over the
+    assembled array gives the same bits on any number of cores. A single
+    span runs inline; more run on the span pool, whose threads overlap
+    where numpy releases the interpreter lock.
+    """
+    size = max(1, SPAN_ENTRIES // width)
+    count = total // size
+    if count < 2:
+        return [fn(0, total)]
+    los = range(0, count * size, size)
+    # the last span also takes the remainder
+    his = [*los[1:], total]
+    pool = _span_executor()
+    if pool is None:
+        return [fn(lo, hi) for lo, hi in zip(los, his)]
+    return list(pool.map(fn, los, his))

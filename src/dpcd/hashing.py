@@ -23,6 +23,8 @@ from .core import (
     NumericError,
     ParseError,
     UNCONSTRAINED,
+    _map_spans,
+    check_seed,
     signs,
 )
 from .objectives import HashingProblem, make_hashing_objective
@@ -122,6 +124,7 @@ def alternating_hash(X: np.ndarray, Y: np.ndarray, r: int,
         raise DomainError("code length must be >= 1")
     if outer_iterations < 1:
         raise DomainError("outer_iterations must be >= 1")
+    check_seed(seed)
     n = X.shape[0]
     rng = np.random.default_rng(seed)
     if initial_codes is None:
@@ -183,7 +186,8 @@ def evaluate_retrieval(query_codes, db_codes, query_labels, db_labels,
     # one contiguous row of database words per word position
     Dw = np.ascontiguousarray(_packed_codes(D).T)
     # relevance is built in query row blocks, so memory stays linear in
-    # the database size
+    # the database size; a block is built whole, where BLAS's own threads
+    # (if any) split a label product, and its queries are ranked in spans
     block = max(1, BLOCK_ENTRIES // nd)
     # distances are integers in [0, r]; held in the smallest unsigned type
     # that fits r, the stable argsort below is a radix sort
@@ -191,20 +195,33 @@ def evaluate_retrieval(query_codes, db_codes, query_labels, db_labels,
     ap_sum = 0.0
     hits_at_k = 0.0
     for start in range(0, nq, block):
-        rows = slice(start, min(start + block, nq))
-        rel = relevance(rows)
-        for qi, q in enumerate(Qw[rows]):
-            # Hamming distance: the set bits of q XOR d, summed over words
-            dist = np.zeros(nd, dtype=dist_type)
-            for w, word in enumerate(q):
-                dist += np.bitwise_count(Dw[w] ^ word)
-            flags = rel[qi].take(np.argsort(dist, kind="stable"))
-            total = int(np.count_nonzero(flags))
-            if total:
-                positions = np.nonzero(flags)[0]
-                precisions = np.arange(1, total + 1) / (positions + 1.0)
-                ap_sum += float(precisions.mean())
-            hits_at_k += int(np.count_nonzero(flags[:k])) / k
+        stop = min(start + block, nq)
+        rel = relevance(slice(start, stop))
+
+        def score(lo, hi):
+            # (average precision, hits in the first k) of each query in a
+            # span (core._map_spans) of the block
+            out = []
+            for q, relevant in zip(Qw[start + lo:start + hi], rel[lo:hi]):
+                # Hamming distance: the set bits of q XOR d, summed over words
+                dist = np.zeros(nd, dtype=dist_type)
+                for w, word in enumerate(q):
+                    dist += np.bitwise_count(Dw[w] ^ word)
+                flags = relevant.take(np.argsort(dist, kind="stable"))
+                total = int(np.count_nonzero(flags))
+                ap = 0.0
+                if total:
+                    positions = np.nonzero(flags)[0]
+                    precisions = np.arange(1, total + 1) / (positions + 1.0)
+                    ap = float(precisions.mean())
+                out.append((ap, int(np.count_nonzero(flags[:k])) / k))
+            return out
+
+        # added up in query order, so the sums do not depend on the spans
+        for span in _map_spans(score, stop - start, nd):
+            for ap, hits in span:
+                ap_sum += ap
+                hits_at_k += hits
     return RetrievalScore(map=ap_sum / nq, precision_at_k=hits_at_k / nq, k=k)
 
 
@@ -285,15 +302,17 @@ def _undecodable_line(path) -> int:
 
 def load_matrix_csv(path) -> np.ndarray:
     """Comma-separated numeric rows; a single leading header line is
-    tolerated and skipped."""
+    tolerated and skipped. A field is any spelling float() accepts."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            # blank lines are skipped but keep their place in the numbering
-            lines = [(i, line.strip()) for i, line in enumerate(fh, start=1)
-                     if line.strip()]
+            text = fh.read()
     except UnicodeDecodeError as e:
         raise ParseError(
             f"line {_undecodable_line(path)}: not UTF-8 text ({e.reason})") from None
+    # text mode has turned every line break into "\n"; blank lines are
+    # skipped but keep their place in the numbering
+    lines = [(i, line) for i, line in enumerate(map(str.strip, text.split("\n")), start=1)
+             if line]
     if not lines:
         raise ParseError("empty matrix file")
     start = 0
@@ -303,22 +322,28 @@ def load_matrix_csv(path) -> np.ndarray:
         start = 1
         if len(lines) == 1:
             raise ParseError("matrix file holds only a header")
-    rows = []
-    width = None
-    for i, line in lines[start:]:
-        try:
-            row = [float(tok) for tok in line.split(",")]
-        except ValueError:
-            raise ParseError(f"line {i}: non-numeric field")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(f"line {i}: expected {width} columns, got {len(row)}")
-        rows.append(row)
-    M = np.array(rows)
+    body = lines[start:]
+    width = body[0][1].count(",") + 1
+    fields = ",".join(line for _, line in body).split(",")
+    # numpy converts a str field as float() does, every spelling alike
+    # (1_0, Infinity, non-ASCII digits); only a faulty file is scanned
+    # line by line, for the first line to name
+    try:
+        if any(line.count(",") != width - 1 for _, line in body):
+            raise ValueError("ragged rows")
+        M = np.array(fields, dtype=float).reshape(len(body), width)
+    except ValueError:
+        for i, line in body:
+            try:
+                row = [float(tok) for tok in line.split(",")]
+            except ValueError:
+                raise ParseError(f"line {i}: non-numeric field") from None
+            if len(row) != width:
+                raise ParseError(f"line {i}: expected {width} columns, got {len(row)}") from None
+        raise
     bad = np.flatnonzero(~np.isfinite(M).all(axis=1))
     if bad.size:
-        raise ParseError(f"line {lines[start + bad[0]][0]}: non-finite field")
+        raise ParseError(f"line {body[bad[0]][0]}: non-finite field")
     return M
 
 

@@ -165,6 +165,8 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     n = c.shape[0]
+    if not sp.issparse(A):
+        A = np.asarray(A, dtype=float)
     if A.shape != (n, n):
         raise DimensionError(f"A is {A.shape}, expected ({n}, {n})")
     A = _symmetrized(A, "quadratic coefficient matrix")

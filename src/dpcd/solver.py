@@ -29,12 +29,13 @@ from .core import (
     SolverReport,
     UNCONSTRAINED,
     _best_of_blocks,
-    _checked_gradient,
     _checked_value,
     _flipped,
+    _gradient,
+    _map_spans,
     _report,
-    _sign_vector,
     _start_point,
+    check_seed,
     feasible_point,
     hamming_distance,
 )
@@ -112,8 +113,7 @@ class SolverConfig:
             raise DomainError("neighborhood settings must be nonnegative")
         if self.neighborhood_budget < 1:
             raise DomainError("neighborhood_budget must be >= 1")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -127,23 +127,68 @@ class PrincipalSets:
 
 def derive_thresholds(gradient, policy: ThresholdPolicy, lipschitz: Optional[float] = None):
     """Returns (L1, L2); a side with no admissible threshold returns None."""
-    g = np.asarray(gradient, dtype=float)
-    if not np.all(np.isfinite(g)):
+    thresholds = _thresholds(np.asarray(gradient, dtype=float), policy, lipschitz)
+    if thresholds is None:
         raise NumericError("gradient contains non-finite entries")
-    return _thresholds(g, policy, lipschitz)
+    return thresholds
 
 
 def _thresholds(g: np.ndarray, policy: ThresholdPolicy, lipschitz: Optional[float]):
-    # derive_thresholds on a float gradient already checked finite
-    if policy.mode == LIPSCHITZ:
+    """derive_thresholds on a float gradient, or None when an entry of g is
+    not finite; g is scanned span by span (core._map_spans)."""
+    average = policy.mode == GRADIENT_AVERAGE
+    # the sign masks are allocated here and filled by the spans: arrays
+    # a span thread allocates and leaves alive would stay in its own
+    # malloc arena, which grew the peak RSS of hash-retrieval by 10 %
+    sides = np.empty((2, len(g)), dtype=bool) if average else None
+
+    def scan(lo, hi):
+        # (lo, count of positive entries, count of negative ones), None
+        # when an entry is not finite
+        part = g[lo:hi]
+        if not np.isfinite(part).all():
+            return None
+        if not average:
+            return lo, 0, 0
+        pos = np.greater(part, 0, out=sides[0, lo:hi])
+        neg = np.less(part, 0, out=sides[1, lo:hi])
+        return lo, np.count_nonzero(pos), np.count_nonzero(neg)
+
+    found = _map_spans(scan, len(g))
+    if any(span is None for span in found):
+        return None
+    if not average:
         if lipschitz is None:
             raise DomainError("lipschitz threshold policy needs the objective's L0")
         level = lipschitz + effective_epsilon(policy, lipschitz)
         return level, level
-    # np.compress gathers the same entries as g[g > 0], several times
-    # faster at millions of entries
-    pos = np.compress(g > 0, g)
-    neg = np.compress(g < 0, g)
+    if len(found) == 1:
+        # one span, scanned inline: nothing to place
+        return _side_means(np.compress(sides[0], g), np.compress(sides[1], g))
+    # each span gathers its entries of each sign at its offset in one
+    # buffer per sign, so a side's mean sums the array g[g > 0] (or
+    # g[g < 0]) would be, in one call
+    counts = np.array([span[1:] for span in found])
+    ends = np.cumsum(counts, axis=0)
+    pos = np.empty(ends[-1, 0])
+    neg = np.empty(ends[-1, 1])
+    at = {span[0]: start for span, start in zip(found, ends - counts)}
+
+    def gather(lo, hi):
+        part = g[lo:hi]
+        for side, buffer, start in zip(sides, (pos, neg), at[lo]):
+            idx = np.flatnonzero(side[lo:hi])
+            # flatnonzero's indices are in range: mode="clip" skips the
+            # bounds check and the buffered out= copy of the default mode
+            part.take(idx, out=buffer[start:start + len(idx)], mode="clip")
+
+    _map_spans(gather, len(g))
+    return _side_means(pos, neg)
+
+
+def _side_means(pos: np.ndarray, neg: np.ndarray):
+    """(L1, L2) of average thresholds from the gradient's positive and
+    negative entries in index order; an empty side gives None."""
     l1 = float(pos.mean()) if pos.size else None
     l2 = float(-neg.mean()) if neg.size else None
     return l1, l2
@@ -159,6 +204,31 @@ def _principal_masks(positive: np.ndarray, g: np.ndarray, l1, l2,
     minus = g < (-math.inf if l2 is None else -alpha2 * l2)
     minus &= ~positive
     return plus, minus
+
+
+def _cube_step(positive: np.ndarray, g: np.ndarray, l1, l2, alpha1: float, alpha2: float):
+    """(next iterate, its +1 mask, flip count) of the cube step from the
+    sign vector whose +1 entries positive marks: every entry of s_plus and
+    s_minus flips. Runs span by span (core._map_spans); the iterate is
+    read-only, as _sign_vector makes it."""
+    n = len(g)
+    x_next = np.empty(n)
+    after = np.empty(n, dtype=bool)
+
+    def flip(lo, hi):
+        was = positive[lo:hi]
+        plus, minus = _principal_masks(was, g[lo:hi], l1, l2, alpha1, alpha2)
+        # plus marks +1 entries and minus -1 entries, so the two are
+        # disjoint; flipping their union toggles it in the +1 mask
+        plus |= minus
+        now = np.not_equal(was, plus, out=after[lo:hi])
+        x = np.multiply(now, 2.0, out=x_next[lo:hi])
+        x -= 1.0
+        return np.count_nonzero(plus)
+
+    flips = sum(_map_spans(flip, n))
+    x_next.flags.writeable = False
+    return x_next, after, flips
 
 
 def principal_sets(x: BinaryVector, gradient, l1, l2, alpha1: float, alpha2: float) -> PrincipalSets:
@@ -339,8 +409,10 @@ def dpcd_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
     rng = np.random.default_rng(cfg.seed)
     x = _start_point(f, c, initial_point, rng)
     # g is the gradient at x when value_gradient gave it along with the
-    # value, else None until the iteration asks f.gradient
+    # value, else None until the iteration asks f.gradient; positive is
+    # x > 0 when the cube step wrote it, else None until asked
     value, g = _checked_value(f, x, 0)
+    positive = None
     trajectory = [value]
     flips_per_iteration = []
     converged = False
@@ -348,29 +420,32 @@ def dpcd_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
     cadence = cfg.neighborhood_cadence
 
     for k in range(1, cfg.max_iterations + 1):
-        g = _checked_gradient(f, x, k, g)
-        l1, l2 = _thresholds(g, policy, f.lipschitz)
-        positive = x > 0
-        plus, minus = _principal_masks(positive, g, l1, l2, cfg.alpha1, cfg.alpha2)
-        # plus marks +1 entries and minus -1 entries, so the two are
-        # disjoint and their counts give the flip count
+        g = _gradient(f, x, k, g)
+        thresholds = _thresholds(g, policy, f.lipschitz)
+        if thresholds is None:
+            raise NumericError(f"non-finite gradient at iteration {k}")
+        if positive is None:
+            positive = x > 0
         if c.is_exact_ones:
+            plus, minus = _principal_masks(positive, g, *thresholds, cfg.alpha1, cfg.alpha2)
             sets = PrincipalSets(np.flatnonzero(plus), np.flatnonzero(minus))
             x_next = balanced_flip(x, g, sets)
             principal_flips = 2 * min(len(sets.s_plus), len(sets.s_minus))
+            positive = None
         else:
-            # flipping the masked entries toggles them in the +1 mask
-            plus |= minus
-            positive ^= plus
-            x_next = _sign_vector(positive)
-            principal_flips = int(np.count_nonzero(plus))
+            x_next, positive, principal_flips = _cube_step(
+                positive, g, *thresholds, cfg.alpha1, cfg.alpha2)
 
         moved = principal_flips
         exhaustive = False
         if cadence > 0 and (k % cadence == 0 or principal_flips == 0):
+            stepped = x_next
             x_next, exhaustive = _explore_neighborhood(
                 x_next, f, c, cfg.neighborhood_radius, cfg.neighborhood_budget, rng)
             moved = hamming_distance(x, x_next)
+            if x_next is not stepped:
+                # the search replaced the iterate the mask describes
+                positive = None
         flips_per_iteration.append(moved)
         value, g = _checked_value(f, x_next, k)
         trajectory.append(value)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from dpcd import Objective, make_quadratic
+from dpcd import Objective, core, make_quadratic
 
 # property tests draw the same examples on every run, with no per-example
 # deadline (timing on a loaded machine is no test result) and no example
@@ -71,3 +71,35 @@ def random_quadratic(n, seed, sparse=False, density=0.3, diagonal=False):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)
+
+
+class SpanPool:
+    """Sets the span pool's worker count (core._worker_count) for one
+    test; each setting builds a fresh pool on the next threaded pass."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+        self.original = core._span_pool
+
+    def workers(self, count: int) -> None:
+        """count workers from here on; 1 runs every span inline."""
+        self.close()
+        self.monkeypatch.setattr(core, "_worker_count", lambda: count)
+        self.monkeypatch.setattr(core, "_span_pool", None)
+
+    def close(self) -> None:
+        pool = core._span_pool
+        if pool is not None and pool is not self.original and pool[1] is not None:
+            pool[1].shutdown()
+
+
+@pytest.fixture
+def threaded_spans(monkeypatch):
+    """Spans of 16 entries (core.SPAN_ENTRIES) on at least two workers, so
+    inputs of a few dozen entries take the threaded path of
+    core._map_spans; yields the SpanPool, to switch the worker count."""
+    monkeypatch.setattr(core, "SPAN_ENTRIES", 16)
+    pool = SpanPool(monkeypatch)
+    pool.workers(max(2, core._worker_count()))
+    yield pool
+    pool.close()

@@ -758,6 +758,21 @@ class TestOutOfRangeParameters:
         }[command]
         input_error((*argv, "--seed", -1), capsys, "seed must be >= 0")
 
+    @pytest.mark.parametrize("command", ["quad", "oracle"])
+    @pytest.mark.parametrize("fields,name", [
+        ('"A": [[1, 0], [0, NaN]], "c": [1, -1]', "A"),
+        ('"A": [[1, 0], [0, 1]], "c": [NaN, -1]', "c"),
+        ('"A": [[1, 0], [0, 1]], "c": [1, -Infinity]', "c"),
+        ('"A": [[1, 0], [0, 1]], "c": [1, -1], "d": Infinity', "d"),
+    ], ids=["A-nan", "c-nan", "c-minus-infinity", "d-infinity"])
+    def test_problem_non_finite_number(self, tmp_path, command, fields, name, capsys):
+        # json.load accepts these tokens; they used to exit 1 as a
+        # numeric failure
+        path = tmp_path / "problem.json"
+        path.write_text("{%s}" % fields)
+        input_error((command, "--problem", path), capsys,
+                    f"field {name} holds a non-finite number")
+
     @pytest.mark.parametrize("r", ['"x"', "1.7", "true", "[2]"])
     def test_problem_r_must_be_an_integer(self, tmp_path, r, capsys):
         # "x" used to end in a traceback (exit 1), and 1.7 ran as r = 1

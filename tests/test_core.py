@@ -166,6 +166,36 @@ class TestRandomFeasible:
         assert (xs == -1.0).any(axis=0).all()
 
 
+class TestSeeds:
+    """One seed check (core.check_seed) for every seeded entry point."""
+
+    @staticmethod
+    def calls(seed):
+        f = dpcd.make_quadratic(np.eye(3), np.ones(3))
+        X = np.arange(12.0).reshape(6, 2)
+        Y = np.eye(2)[[0, 1, 0, 1, 0, 1]]
+        return {
+            "sgm_solve": lambda: dpcd.sgm_solve(f, seed=seed),
+            "random_search": lambda: dpcd.random_search(f, UNCONSTRAINED, 5, seed=seed),
+            "alternating_hash": lambda: dpcd.alternating_hash(X, Y, 2, seed=seed),
+            "random_feasible": lambda: random_feasible(3, UNCONSTRAINED, seed),
+            "SolverConfig": lambda: dpcd.SolverConfig(seed=seed),
+        }
+
+    @pytest.mark.parametrize("name", ["sgm_solve", "random_search", "alternating_hash",
+                                      "random_feasible", "SolverConfig"])
+    def test_negative_seed_is_a_domain_error(self, name):
+        # the first three used to raise numpy's ValueError
+        for seed in (-1, np.int64(-3)):
+            with pytest.raises(DomainError, match=f"seed must be >= 0, got {seed}"):
+                self.calls(seed)[name]()
+
+    @pytest.mark.parametrize("name", ["sgm_solve", "random_search", "alternating_hash",
+                                      "random_feasible"])
+    def test_generator_seed_accepted(self, name):
+        self.calls(np.random.default_rng(1))[name]()
+
+
 class TestBestOfBlocks:
     # rows are (score, id) pairs scored by their first entry
     @staticmethod

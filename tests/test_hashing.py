@@ -177,6 +177,12 @@ class TestAlternatingHash:
         assert model.loss_history[-1] == pytest.approx(loss(model.B, model.W))
 
 
+@pytest.mark.usefixtures("threaded_spans")
+class TestAlternatingHashThreaded(TestAlternatingHash):
+    """TestAlternatingHash again, on spans of 16 entries over two or more
+    workers."""
+
+
 def whole_matrix_retrieval(Q, D, rel, k):
     """Retrieval scores from the full (queries, database) distance matrix."""
     dist = (Q.shape[1] - Q @ D.T) / 2.0
@@ -328,6 +334,12 @@ class TestEvaluateRetrieval:
         assert (score.map, score.precision_at_k) == want
 
 
+@pytest.mark.usefixtures("threaded_spans")
+class TestEvaluateRetrievalThreaded(TestEvaluateRetrieval):
+    """TestEvaluateRetrieval again, on spans of 16 entries over two or more
+    workers: one query a span wherever the database has 16 or more rows."""
+
+
 class TestMatrixFiles:
     def test_binary_round_trip(self, tmp_path, rng):
         M = rng.standard_normal((7, 3))
@@ -359,6 +371,34 @@ class TestMatrixFiles:
         assert np.array_equal(load_matrix_csv(plain), want)
         assert np.array_equal(load_matrix_csv(headed), want)
         assert np.array_equal(load_matrix(plain), want)
+
+    def test_csv_spellings_float_accepts(self, tmp_path):
+        # underscores, Arabic-Indic and full-width digits, padding, signs
+        # and exponents: every field reads as float() reads it
+        fields = [["1_0", "\u0661\u0662", " +3 ", ".5"],
+                  ["-2.5e-3", "\uff17", "\u00a04\u00a0", "1E2"],
+                  ["0", "-0", "6.", "7_000.000_1"]]
+        p = tmp_path / "odd.csv"
+        p.write_text("a,b,c,d\n" + "\n".join(",".join(row) for row in fields) + "\n",
+                     encoding="utf-8")
+        M = load_matrix_csv(p)
+        assert M.tolist() == [[float(tok) for tok in row] for row in fields]
+        assert np.signbit(M[2, 1])
+
+    @pytest.mark.parametrize("text,message", [
+        ("a,b\n1_0,2\n\n3,1__0\n", "^line 4: non-numeric field$"),
+        ("1,\u0662\n3,4,\n5,6\n", "^line 2: non-numeric field$"),
+        ("1,\u0662\n3,4,5\n5,6\n", "^line 2: expected 2 columns, got 3$"),
+        ("1,2\n3,x\n5\n", "^line 2: non-numeric field$"),
+        ("1,2\n3\n5,x\n", "^line 2: expected 2 columns, got 1$"),
+        ("x,y\n1,2\n\n3,Infinity\n", "^line 4: non-finite field$"),
+    ], ids=["double-underscore", "trailing-comma", "wide", "field-first", "width-first",
+            "infinity"])
+    def test_csv_faulty_line_named(self, tmp_path, text, message):
+        p = tmp_path / "bad.csv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=message):
+            load_matrix_csv(p)
 
     @pytest.mark.parametrize("field", ["nan", "inf", "-Infinity"])
     def test_csv_non_finite_names_the_line(self, tmp_path, field):

@@ -41,6 +41,16 @@ class TestQuadratic:
         f = make_quadratic(np.zeros((2, 2)), np.zeros(2), d=7.5)
         assert f.value(binary_vector([1, 1])) == 7.5
 
+    def test_nested_list_coefficients(self):
+        # a dense A given as nested lists used to fail reading A.shape
+        f = make_quadratic([[1.0, 2.0], [2.0, 0.0]], [1.0, 0.0])
+        g = make_quadratic(np.array([[1.0, 2.0], [2.0, 0.0]]), np.array([1.0, 0.0]))
+        x = binary_vector([1, -1])
+        assert f.value(x) == g.value(x) == -2.0
+        assert f.gradient(x).tolist() == g.gradient(x).tolist()
+        with pytest.raises(DimensionError):
+            make_quadratic([[1.0]], [1.0, 2.0])
+
     @pytest.mark.parametrize("sparse", [False, True])
     def test_finite_differences(self, sparse):
         f = random_quadratic(8, 17, sparse=sparse)

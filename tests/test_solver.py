@@ -78,6 +78,11 @@ class TestThresholds:
         assert effective_epsilon(p, 1e3) == pytest.approx(1e-3)
 
 
+@pytest.mark.usefixtures("threaded_spans")
+class TestThresholdsThreaded(TestThresholds):
+    """TestThresholds again, on spans of 16 entries over two or more workers."""
+
+
 class TestPrincipalSets:
     def test_separable_all_plus_thresholds(self):
         beta = np.array([0.4, 0.8, 0.31])
@@ -527,6 +532,11 @@ class TestSolveLoop:
                          SolverConfig(max_iterations=1, neighborhood_cadence=0))
         assert rep.iterations == 1
         assert not rep.converged or rep.flips_per_iteration == (0,)
+
+
+@pytest.mark.usefixtures("threaded_spans")
+class TestSolveLoopThreaded(TestSolveLoop):
+    """TestSolveLoop again, on spans of 16 entries over two or more workers."""
 
 
 class TestStepBound:
