@@ -106,8 +106,10 @@ class Objective:
                         uses the optional flips_delta when set, else value
                         on each flipped copy
 
-    A fast field must agree with value up to rounding. The solver also
-    reads one more:
+    A fast field must agree with value up to rounding. It may keep state
+    for the last point it was called at (a copy, so a caller changing
+    that array in place is seen), but must return what a stateless call
+    would, bit for bit. The solver also reads one more:
 
       value_gradient(x) (value(x), gradient(x)) from one pass over the
                         work the two share; dpcd_solve and sgm_solve

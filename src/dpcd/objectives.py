@@ -97,14 +97,15 @@ def _pair_table(A) -> np.ndarray:
     return table
 
 
-def _sparse_pair_coeffs(A, x, cols):
-    """Lookup (u, v) -> A[cols[u], cols[v]] for an exactly symmetric,
-    canonical CSR A (no duplicate entries, so each value is one entry).
+def _sparse_pair_coeffs(A, x):
+    """For an exactly symmetric, canonical CSR A (no duplicate entries,
+    so each value is one entry) and a point x: the map from a block's
+    index columns cols to its lookup (u, v) -> A[cols[u], cols[v]].
 
     A pair (u, v) whose first index column holds only +1 entries of x
-    reads A[p, q] from a dense block of the rows A[plus], held
-    transposed: one block column per p in plus, one block row per vertex
-    q of cols with a neighbour in plus, and one zero row that every other
+    reads A[p, q] from a dense block of the rows A[plus], built once for
+    x and held transposed: one block column per p in plus, one block row
+    per neighbour q of the +1 set, and one zero row that every other
     vertex maps to. A slice move lists its +1 entries first, so each of its
     pairs with an endpoint in plus is such a pair. Every other pair pays
     scipy's per-element lookup, and all pairs do when the block would
@@ -117,33 +118,33 @@ def _sparse_pair_coeffs(A, x, cols):
     plus = np.flatnonzero(np.asarray(x) > 0)
     k = len(plus)
     rows = A[plus]
-    # only vertices that some index column names get a block row
-    named = np.zeros(n, dtype=bool)
-    named[cols] = True
-    keep = named[rows.indices]
-    nbrs, slot_of = np.unique(rows.indices[keep], return_inverse=True)
+    nbrs, slot_of = np.unique(rows.indices, return_inverse=True)
     width = len(nbrs) + 1
     if k * width > BLOCK_ENTRIES:
-        return lambda u, v: lookup(cols[u], cols[v])
+        return lambda cols: lambda u, v: lookup(cols[u], cols[v])
     block = np.zeros((width, k))
-    block[slot_of, np.repeat(np.arange(k), np.diff(rows.indptr))[keep]] = rows.data[keep]
+    block[slot_of, np.repeat(np.arange(k), np.diff(rows.indptr))] = rows.data
     flat = block.ravel()
     slot = np.full(n, len(nbrs))
     slot[nbrs] = np.arange(len(nbrs))
     pos = np.full(n, -1)
     pos[plus] = np.arange(k)
-    # per index column: each entry's block column (-1 off plus) and the
-    # flat offset of its block row
-    at = pos[cols]
-    base = slot[cols] * k
-    every = (at >= 0).all(axis=1)
 
-    def coeffs(u, v):
-        if every[u]:
-            return flat.take(base[v] + at[u])
-        return lookup(cols[u], cols[v])
+    def for_columns(cols):
+        # per index column: each entry's block column (-1 off plus) and
+        # the flat offset of its block row
+        at = pos[cols]
+        base = slot[cols] * k
+        every = (at >= 0).all(axis=1)
 
-    return coeffs
+        def coeffs(u, v):
+            if every[u]:
+                return flat.take(base[v] + at[u])
+            return lookup(cols[u], cols[v])
+
+        return coeffs
+
+    return for_columns
 
 
 def make_quadratic(A, c, d: float = 0.0) -> Objective:
@@ -158,7 +159,12 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
     table: a dense A itself (no copy), or, for a sparse A with
     n <= _DENSE_GATHER_LIMIT, a copy in the narrowest exact dtype (int8
     for unit weights: n^2 bytes). A larger sparse A keeps its CSR form
-    only. A slice sample's s'As sums its r(r-1)/2 pairs from that copy
+    only. flips_delta keeps the gains s(x) and one pair source for the
+    last point it scored: from a dense table, the signed table
+    ((8x)x') o A once a block has at least n^2 pair terms (and n^2 <=
+    BLOCK_ENTRIES), so a pair term is one take; from the CSR form, the
+    block of +1 rows (_sparse_pair_coeffs). Every path gives the same
+    bits. A slice sample's s'As sums its r(r-1)/2 pairs from that copy
     while (r - 1)*n <= 2*nnz, so no more lookups than the r*nnz/n stored
     entries the sparse product S o (S @ A) reads, which scores it
     otherwise.
@@ -187,17 +193,14 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
     lipschitz = _finite_lipschitz(2.0 * float(row_abs.max()) if n else 0.0)
 
     table = _pair_table(A) if sparse and n <= _DENSE_GATHER_LIMIT else None
-    if sparse and table is None:
-        def pair_coeffs(x, cols):
-            return _sparse_pair_coeffs(A, x, cols)
-    else:
+    # the dense n x n coefficients: a dense A itself, a sparse A's pair
+    # table, or None past the dense-gather limit
+    square = table if sparse else A
+    if square is not None:
         # A is symmetric, so entry (u, v) sits at u*n + v in C and in F
         # order alike: K order flattens either without a copy (a strided
         # matrix is copied once, here)
-        flat = (A if table is None else table).ravel(order="K")
-
-        def pair_coeffs(x, cols):
-            return lambda u, v: flat.take(cols[u] * n + cols[v])
+        flat = square.ravel(order="K")
 
     # x = 2s - 1 for the 0/1 indicator s of the +1 entries gives
     # x'Ax + c'x + d = 4*s'As + s'(2c - 4*A1) + (1'A1 - c'1 + d)
@@ -237,21 +240,57 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
             quad = np.asarray(S.multiply(S @ A).sum(axis=1)).ravel()
         return 4.0 * quad + ones_linear[idx].sum(axis=1) + ones_constant
 
+    # the last point flips_delta scored: a private copy (so a caller's
+    # in-place change is seen), its gains s and its pair source. A
+    # search's radius blocks, and the searches of a stall, then share one
+    # A @ x and one pair source. Equal values suffice: a zero's sign never
+    # reaches a delta, whose sums start at +0.0
+    last = None
+
+    def point_state(x):
+        nonlocal last
+        state = last
+        if state is None or not np.array_equal(state["x"], x):
+            state = {"x": x.copy(),
+                     "gains": x * (4.0 * diag * x - 4.0 * (A @ x) - 2.0 * c),
+                     "pairs": _sparse_pair_coeffs(A, x) if square is None else None}
+            last = state
+        return state
+
     def flips_delta(x, flips):
         # x' = x - 2*x_F on the flip set F; expanding x'Ax' + c'x' with A
         # symmetric gives delta = sum_F s_u + 8*sum_{u<v in F} x_u x_v A_uv,
         # where s = x*(4*diag(A)*x - 4*Ax - 2c) holds the single-flip deltas
         x = np.asarray(x, dtype=float)
-        s = x * (4.0 * diag * x - 4.0 * (A @ x) - 2.0 * c)
-        delta = s[flips].sum(axis=1)
+        state = point_state(x)
+        delta = state["gains"][flips].sum(axis=1)
         # one contiguous index column per flip; each pair then adds
         # (8*x_u) * x_v * A_uv in (u, v) order, the rounding seeded
         # outputs depend on
         cols = np.ascontiguousarray(flips.T)
+        j, m = cols.shape
+        if square is None:
+            coeffs = state["pairs"](cols)
+        else:
+            base = cols * n
+            signed = state["pairs"]
+            if signed is None and n * n <= min(m * (j * (j - 1) // 2), BLOCK_ENTRIES):
+                # every pair's term at x, formed in that same order: no
+                # more entries than the block has pair terms, nor than
+                # BLOCK_ENTRIES
+                signed = np.outer(8.0 * x, x)
+                signed *= square
+                signed = state["pairs"] = signed.ravel()
+            if signed is not None:
+                for u in range(j):
+                    for v in range(u + 1, j):
+                        delta += signed.take(base[u] + cols[v])
+                return delta
+
+            def coeffs(u, v):
+                return flat.take(base[u] + cols[v])
         xc = x[cols]
         x8 = 8.0 * xc
-        coeffs = pair_coeffs(x, cols)
-        j = len(cols)
         for u in range(j):
             for v in range(u + 1, j):
                 delta += x8[u] * xc[v] * coeffs(u, v)

@@ -333,10 +333,7 @@ def _distinct_rows(rng: np.random.Generator, pool: np.ndarray, j: int, cnt: int)
     for t in range(j):
         top = size - j + t
         draw = rng.integers(0, top + 1, cnt)
-        seen = np.zeros(cnt, dtype=bool)
-        for earlier in cols[:t]:
-            seen |= earlier == draw
-        draw[seen] = top
+        np.copyto(draw, top, where=(cols[:t] == draw).any(axis=0))
         cols[t] = draw
     return pool[cols.T]
 

@@ -7,6 +7,8 @@ equally good moves wins) and the rounding of each delta. So each test
 asserts exact equality with its reference, never closeness.
 """
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -44,6 +46,22 @@ def reference_distinct_rows(rng, pool, j, cnt):
         seen = (rows[:, :t] == draw[:, None]).any(axis=1)
         rows[:, t] = np.where(seen, top, draw)
     return pool[rows]
+
+
+def reference_distinct_rows_loop(rng, pool, j, cnt):
+    """Floyd's draw with a fresh collision mask per column, ORed from one
+    compare per earlier column and stored through a boolean mask."""
+    size = len(pool)
+    cols = np.empty((j, cnt), dtype=np.intp)
+    for t in range(j):
+        top = size - j + t
+        draw = rng.integers(0, top + 1, cnt)
+        seen = np.zeros(cnt, dtype=bool)
+        for earlier in cols[:t]:
+            seen |= earlier == draw
+        draw[seen] = top
+        cols[t] = draw
+    return pool[cols.T]
 
 
 def reference_moves(pools, j):
@@ -179,6 +197,195 @@ class TestPairTable:
         assert np.array_equal(f.ones_batch(ones), [f.value(row) for row in X])
 
 
+def _with_zero_entries(A):
+    """Dense symmetric A with a stored -0.0 pair, a +0.0 pair and -0.0 on
+    the diagonal."""
+    A = np.array(A)
+    A[0, 1] = A[1, 0] = -0.0
+    A[2, 3] = A[3, 2] = 0.0
+    A[4, 4] = -0.0
+    return A
+
+
+def _real_point(rng, n):
+    """A point of the box that is no sign vector, with a 0.0 and a -0.0."""
+    x = rng.uniform(-1.0, 1.0, n)
+    x[0], x[1] = 0.0, -0.0
+    return x
+
+
+def _move_blocks(rng, x, radius, cnt):
+    """Blocks of cnt moves of the given radius on the cube and on the slice
+    of x."""
+    plus, minus = np.flatnonzero(x > 0), np.flatnonzero(x <= 0)
+    cube = _distinct_rows(rng, np.arange(len(x)), radius, cnt)
+    swap = np.concatenate([_distinct_rows(rng, p, radius, cnt) for p in (plus, minus)], axis=1)
+    return {"cube": cube, "slice": swap}
+
+
+class TestSignedTable:
+    """On the dense side (a dense A, or a sparse A's pair table) a block
+    whose rows times pairs reach n^2 builds the signed table ((8x)x') o A
+    of its point, and each pair term is one take from it; a smaller block
+    gathers A_uv and multiplies. Both give the pair loop's bits."""
+
+    N = 24
+
+    @staticmethod
+    def _count_tables(monkeypatch):
+        # each signed table starts as one outer product
+        built = []
+        outer = np.outer
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return outer(*args, **kwargs)
+
+        monkeypatch.setattr(np, "outer", counted)
+        return built
+
+    @pytest.mark.parametrize("point", ["signs", "real"])
+    @pytest.mark.parametrize("kind", ["dense", "table"])
+    def test_both_sides_of_the_rule(self, kind, point, monkeypatch):
+        n = self.N
+        rng = np.random.default_rng(17)
+        if kind == "dense":
+            A = _with_zero_entries(_symmetric(n, rng, False))
+        else:
+            A = _weighted_csr(n, 120, [1.0, -0.0, 0.5, -2.0], 17)
+            assert objectives._pair_table(A).dtype == np.float32
+        c = rng.standard_normal(n)
+        x = np.where(rng.random(n) < 0.4, 1.0, -1.0) if point == "signs" else _real_point(rng, n)
+        built = self._count_tables(monkeypatch)
+        for radius in range(1, 6):
+            for space in ("cube", "slice"):
+                width = radius * (1 if space == "cube" else 2)
+                pairs = width * (width - 1) // 2
+                # the largest row count below the rule and the smallest on it
+                sizes = [max(1, (n * n - 1) // pairs), -(-n * n // pairs)] if pairs else [50]
+                for cnt in sizes:
+                    flips = _move_blocks(rng, x, radius, cnt)[space]
+                    before = len(built)
+                    got = make_quadratic(A, c).flips_delta(x, flips)
+                    assert len(built) - before == (pairs > 0 and cnt * pairs >= n * n)
+                    with monkeypatch.context() as m:
+                        m.setattr(objectives, "BLOCK_ENTRIES", 0)
+                        gathered = make_quadratic(A, c).flips_delta(x, flips)
+                    assert len(built) - before == (pairs > 0 and cnt * pairs >= n * n)
+                    want = reference_flips_delta(A, c, x, flips)
+                    assert got.tobytes() == gathered.tobytes() == want.tobytes(), (space, cnt)
+
+    def test_block_entries_cap(self, monkeypatch):
+        # a point whose n^2 exceeds BLOCK_ENTRIES never gets a table
+        n = self.N
+        rng = np.random.default_rng(4)
+        A, c = _symmetric(n, rng, False), rng.standard_normal(n)
+        x = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        flips = _distinct_rows(rng, np.arange(n), 5, 4 * n * n)
+        built = self._count_tables(monkeypatch)
+        monkeypatch.setattr(objectives, "BLOCK_ENTRIES", n * n - 1)
+        got = make_quadratic(A, c).flips_delta(x, flips)
+        assert not built
+        assert got.tobytes() == reference_flips_delta(A, c, x, flips).tobytes()
+
+
+class TestPointState:
+    """flips_delta keeps the gains and the pair source of the last point
+    it scored, keyed on a private copy of that point's bits; every call
+    returns what a freshly built objective returns."""
+
+    @staticmethod
+    def _case(kind):
+        if kind == "csr":
+            n = _DENSE_GATHER_LIMIT + 1
+            rng = np.random.default_rng(21)
+            A = _symmetric(n, rng, True, density=10.0 / n)
+        else:
+            n = 30
+            rng = np.random.default_rng(22)
+            A = _symmetric(n, rng, kind == "table")
+            A = _with_zero_entries(A) if kind == "dense" else A
+        return A, rng.standard_normal(n), rng
+
+    @staticmethod
+    def _blocks(rng, x):
+        # the single flip of entry 0, which may hold a zero of either
+        # sign; then blocks big enough for a signed table at n = 30
+        blocks = [np.zeros((1, 1), dtype=np.intp)]
+        for radius in (2, 3, 5):
+            blocks.extend(_move_blocks(rng, x, radius, 400).values())
+        return blocks
+
+    def _check(self, f, A, c, x, blocks):
+        for flips in blocks:
+            got = f.flips_delta(x, flips)
+            fresh = make_quadratic(A, c).flips_delta(np.array(x), flips)
+            assert got.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("kind", ["dense", "table", "csr"])
+    def test_points_revisited(self, kind):
+        A, c, rng = self._case(kind)
+        n = len(c)
+        x1 = _real_point(rng, n)
+        x2 = x1.copy()
+        x2[0] = -0.0  # equal to x1 as numbers, not as bits
+        x3 = np.where(rng.random(n) < 0.3, 1.0, -1.0)
+        blocks = self._blocks(rng, x3)
+        f = make_quadratic(A, c)
+        for x in (x1, x2, x1, x3, x1, x3):
+            self._check(f, A, c, x, blocks)
+
+    @pytest.mark.parametrize("kind", ["dense", "table", "csr"])
+    def test_point_mutated_in_place(self, kind):
+        A, c, rng = self._case(kind)
+        n = len(c)
+        x = np.where(rng.random(n) < 0.3, 1.0, -1.0)
+        blocks = self._blocks(rng, x)
+        f = make_quadratic(A, c)
+        self._check(f, A, c, x, blocks)
+        for i in (3, 0, 7):
+            x[i] = -x[i]
+            self._check(f, A, c, x, blocks)
+        x[0] = 0.0
+        self._check(f, A, c, x, blocks)
+        x[0] = -0.0
+        self._check(f, A, c, x, blocks)
+
+    def test_threads_sharing_one_objective(self):
+        # callers on several threads swap the kept point under each other;
+        # a call may rebuild another's state, never read a wrong one
+        A, c, rng = self._case("dense")
+        n = len(c)
+        points = [np.where(rng.random(n) < p, 1.0, -1.0) for p in (0.2, 0.5, 0.8)]
+        blocks = [b for x in points for b in self._blocks(rng, x)]
+        want = {(i, k): make_quadratic(A, c).flips_delta(x, F).tobytes()
+                for i, x in enumerate(points) for k, F in enumerate(blocks)}
+        f = make_quadratic(A, c)
+        results, errors = [], []
+
+        def caller(offset):
+            try:
+                for step in range(200):
+                    i, k = (step + offset) % len(points), (step * 7 + offset) % len(blocks)
+                    got = f.flips_delta(points[i], blocks[k])
+                    results.append(got.tobytes() == want[i, k])
+            except Exception as e:  # reported below, not lost in the thread
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors and len(results) == 800 and all(results)
+
+
 class TestOnesBatchSides:
     """For a sparse A with a pair table, ones_batch sums a sample's pairs
     from the table while its r(r-1)/2 lookups are no more than the r*nnz/n
@@ -296,6 +503,35 @@ class TestPlusRowBlock:
         flips = np.argsort(rng.random((200, self.N)), axis=1)[:, :6]
         self._check(A, c, np.full(self.N, sign), flips)
 
+    def test_block_reused_at_a_point(self, case, monkeypatch):
+        # one block of +1 rows per point, over every neighbour of the +1
+        # set, serves each later block there as a per-call build would
+        A, c, x, rng = case
+        plus, minus = np.flatnonzero(x > 0), np.flatnonzero(x < 0)
+        y = x.copy()
+        y[plus[0]], y[minus[0]] = -1.0, 1.0
+        visits = []
+        for point in (x, x, y, x):
+            pools = np.flatnonzero(point > 0), np.flatnonzero(point < 0)
+            flips = [self._slice_rows(rng, *pools, j, 300) for j in (1, 2, 3, 5)]
+            visits.append((point, flips, [make_quadratic(A, c).flips_delta(point, F)
+                                          for F in flips]))
+        made = []
+        make = objectives._sparse_pair_coeffs
+
+        def counted(*args):
+            made.append(1)
+            return make(*args)
+
+        monkeypatch.setattr(objectives, "_sparse_pair_coeffs", counted)
+        f = make_quadratic(A, c)
+        for point, flips, per_call in visits:
+            for F, want in zip(flips, per_call):
+                assert f.flips_delta(point, F).tobytes() == want.tobytes()
+        # x, then y, then x again
+        assert len(made) == 3
+        self._check(A, c, x, visits[-1][1][-1])
+
     def test_block_entries_fallback(self, case, monkeypatch):
         monkeypatch.setattr(objectives, "BLOCK_ENTRIES", 1)
         A, c, x, rng = case
@@ -336,6 +572,18 @@ class TestDistinctRows:
         assert np.array_equal(got, want)
         # the stream is left where the reference leaves it
         assert rng.integers(0, 1 << 30) == ref.integers(0, 1 << 30)
+
+
+    @pytest.mark.parametrize("j", range(1, 7))
+    @pytest.mark.parametrize("size", [6, 7, 12, 40, 1000])
+    def test_matches_column_loop(self, size, j):
+        pool = np.arange(size) * 5 + 2
+        rng, ref = np.random.default_rng(size + j), np.random.default_rng(size + j)
+        for cnt in (1, 37, 2000):
+            got = _distinct_rows(rng, pool, j, cnt)
+            want = reference_distinct_rows_loop(ref, pool, j, cnt)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestExhaustiveBlocks:
