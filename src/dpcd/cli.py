@@ -225,17 +225,21 @@ def cmd_hash(args) -> int:
 
 
 def _quad_from_file(path):
-    with open(path, "r") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         try:
             spec = json.load(fh)
         except json.JSONDecodeError as e:
             raise ParseError(f"problem file is not valid JSON: {e}") from e
+        except UnicodeDecodeError as e:
+            raise ParseError(f"problem file is not UTF-8 text: {e}") from e
     try:
         A = np.array(spec["A"], dtype=float)
         c = np.array(spec["c"], dtype=float)
         d = float(spec.get("d", 0.0))
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"problem file needs numeric fields A and c: {e}") from e
+    if c.ndim != 1:
+        raise ParseError("problem file field c must be a list of numbers")
     # json.load reads NaN, Infinity and -Infinity as numbers
     for name, field in (("A", A), ("c", c), ("d", d)):
         if not np.isfinite(field).all():

@@ -94,19 +94,6 @@ _IS_SPACE, _IS_BREAK = (np.isin(np.arange(_PLAIN + 1), [ord(c) for c in chars])
 # so the parse's scratch memory does not grow with the file
 _BLOCK_BYTES = 1 << 18
 
-# a faulty line raises the error of the first check it fails, in this
-# order; a comment line can fail only the two header checks
-_FAULTS = (
-    (ParseError, "malformed node-count header: {!r}"),
-    (ParseError, "negative node count"),
-    (ParseError, "expected 'u v [w]', got {!r}"),
-    (ParseError, "non-numeric field in {!r}"),
-    (ParseError, "negative node id"),
-    (DomainError, "edge weight must be positive and finite"),
-    (ParseError, "node id outside int64 in {!r}"),
-)
-_HEADER, _NEGATIVE_COUNT, _FIELDS, _NUMERIC, _NEGATIVE_ID, _WEIGHT, _OUTSIDE = range(7)
-
 
 def _blocks(data):
     """Line-aligned slices of data of about _BLOCK_BYTES, at least one.
@@ -129,41 +116,49 @@ def _blocks(data):
         start = end
 
 
-def _convert(tokens, dtype):
-    """tokens as a dtype array, with each token's fault rank (0, _NUMERIC
-    or _OUTSIDE).
-
-    numpy converts each string with Python's int or float, so the accepted
-    spellings are exactly theirs."""
-    fault = np.zeros(len(tokens), dtype=np.int8)
-    try:
-        return np.array(tokens, dtype=dtype), fault
-    except (ValueError, OverflowError):
-        pass
-    # per-token scan: runs only on a block that holds a faulty token
-    values = np.zeros(len(tokens), dtype=dtype)
-    parse = int if dtype == np.int64 else float
-    for i, token in enumerate(tokens):
-        try:
-            value = parse(token)
-        except ValueError:
-            fault[i] = _NUMERIC
+def _first_fault(text: str, first_line: int):
+    """The error of the first faulty line of text, whose first line is
+    line first_line of the file, for the first check it fails in
+    load_edge_list's order; None when no line is faulty."""
+    for number, line in enumerate(text.splitlines(), start=first_line):
+        stripped = line.strip()
+        if not stripped:
             continue
+        where = f"line {number}: "
+        if stripped[0] in "#%":
+            body = stripped[1:].strip()
+            if body.lower().startswith("nodes"):
+                try:
+                    declared = int(body.split()[1])
+                except (IndexError, ValueError):
+                    return ParseError(where + f"malformed node-count header: {stripped!r}")
+                if declared < 0:
+                    return ParseError(where + "negative node count")
+            continue
+        fields = stripped.split()
+        if len(fields) not in (2, 3):
+            return ParseError(where + f"expected 'u v [w]', got {stripped!r}")
         try:
-            values[i] = value
-        except OverflowError:
-            # keep the sign: the negative-id check comes first
-            fault[i], values[i] = _OUTSIDE, -1 if value < 0 else 0
-    return values, fault
+            ids = [int(field) for field in fields[:2]]
+            weight = float(fields[2]) if len(fields) == 3 else 1.0
+        except ValueError:
+            return ParseError(where + f"non-numeric field in {stripped!r}")
+        if min(ids) < 0:
+            return ParseError(where + "negative node id")
+        if not (math.isfinite(weight) and weight > 0):
+            return DomainError(where + "edge weight must be positive and finite")
+        if max(ids) > np.iinfo(np.int64).max:
+            return ParseError(where + f"node id outside int64 in {stripped!r}")
+    return None
 
 
 def _parse_block(text: str, first_line: int):
     """(declared count or None, u, v, w, line breaks) of a run of whole
     lines whose first is line first_line of the file.
 
-    Tokens are placed on their lines with numpy over the characters. A
-    fault raises the error of the first faulty line, for the first check
-    it fails in _FAULTS order, with its number in the file."""
+    Tokens are placed on their lines with numpy over the characters, and
+    all ids and all weights convert in one call each. A block that fails
+    any check raises the error _first_fault names for it."""
     if text.isascii():
         chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     else:
@@ -180,48 +175,27 @@ def _parse_block(text: str, first_line: int):
     count = np.diff(first, append=len(line))
     lead = chars[starts[first]]
     comment = (lead == ord("#")) | (lead == ord("%"))
-
-    def stripped(j):
-        return text[starts[first[j]]:ends[first[j] + count[j] - 1]]
-
-    faults = []  # (line in block, rank, line entry); the least one raises
     declared = None
-    for j in np.flatnonzero(comment):
-        body = stripped(j)[1:].strip()
-        if body.lower().startswith("nodes"):
-            try:
+    try:  # a failed check only marks the block faulty
+        for j in np.flatnonzero(comment):
+            body = text[starts[first[j]] + 1:ends[first[j] + count[j] - 1]].strip()
+            if body.lower().startswith("nodes"):
                 declared = int(body.split()[1])
-            except (IndexError, ValueError):
-                faults.append((line[first[j]], _HEADER, j))
-                break
-            if declared < 0:
-                faults.append((line[first[j]], _NEGATIVE_COUNT, j))
-                break
-    fields = ~comment & (count != 2) & (count != 3)
-    if fields.any():
-        j = np.flatnonzero(fields)[0]
-        faults.append((line[first[j]], _FIELDS, j))
-
-    rows = np.flatnonzero(~comment & ~fields)
-    at = first[rows]
-    weighted = count[rows] == 3
-    tokens = np.array(text.split(), dtype=object)
-    ids, id_fault = _convert(tokens[np.stack([at, at + 1], axis=1).ravel()], np.int64)
-    ids, id_fault = ids.reshape(-1, 2), id_fault.reshape(-1, 2)
-    w, w_fault = np.ones(len(rows)), np.zeros(len(rows), dtype=np.int8)
-    w[weighted], w_fault[weighted] = _convert(tokens[at[weighted] + 2], np.float64)
-    # each data line's first failed check, in _FAULTS order
-    rank = np.select([(id_fault == _NUMERIC).any(axis=1) | (w_fault == _NUMERIC),
-                      (ids < 0).any(axis=1), ~(np.isfinite(w) & (w > 0)),
-                      (id_fault == _OUTSIDE).any(axis=1)],
-                     [_NUMERIC, _NEGATIVE_ID, _WEIGHT, _OUTSIDE])
-    if rank.any():
-        k = np.flatnonzero(rank)[0]
-        faults.append((line[at[k]], rank[k], rows[k]))
-    if faults:
-        at_line, rank, j = min(faults)
-        kind, message = _FAULTS[rank]
-        raise kind(f"line {first_line + at_line}: " + message.format(stripped(j)))
+                if declared < 0:
+                    raise ValueError
+        at, fields = first[~comment], count[~comment]
+        if ((fields != 2) & (fields != 3)).any():
+            raise ValueError
+        weighted = fields == 3
+        tokens = np.array(text.split(), dtype=object)
+        ids = np.array(tokens[np.stack([at, at + 1], axis=1).ravel()], dtype=np.int64)
+        w = np.ones(len(at))
+        w[weighted] = np.array(tokens[at[weighted] + 2], dtype=np.float64)
+        if (ids < 0).any() or not (np.isfinite(w) & (w > 0)).all():
+            raise ValueError
+    except (IndexError, ValueError, OverflowError):
+        raise _first_fault(text, first_line) from None
+    ids = ids.reshape(-1, 2)
     return declared, ids[:, 0], ids[:, 1], w, len(breaks)
 
 
@@ -234,9 +208,9 @@ def _decode(block, first_line: int) -> str:
         good = block[:e.start].decode("utf-8")
         lines = (good + "x").splitlines()  # "x" stands for the bad byte
         # a fault on an earlier line comes first in file order
-        _parse_block(good[:len(good) + 1 - len(lines[-1])], first_line)
-        raise ParseError(f"line {first_line + len(lines) - 1}: "
-                         f"not UTF-8 text ({e.reason})") from None
+        fault = _first_fault(good[:len(good) + 1 - len(lines[-1])], first_line)
+        raise fault or ParseError(f"line {first_line + len(lines) - 1}: "
+                                  f"not UTF-8 text ({e.reason})") from None
 
 
 def _merge_edges(n_declared, raw_u, raw_v, raw_w):
@@ -273,12 +247,15 @@ def load_edge_list(source) -> SparseGraph:
     """Parse whitespace-separated "u v [w]" lines of UTF-8 text.
 
     Comment lines start with '#' or '%'. A "#nodes N" header fixes the node
-    count (otherwise 1 + max id); the last one wins. Duplicate edges sum
-    their weights, self loops are dropped with a warning, and ids at or
-    beyond a declared count are an error. Default weight is 1.0; weights
-    must be positive. Lines break as in str.splitlines, and ids must be
-    below 3037000499, so that n * n fits in int64. A fault raises for the
-    first faulty line, by its number.
+    count (otherwise 1 + max id); the last one wins. Default weight is 1.0.
+    Lines break as in str.splitlines. The first faulty line raises, by its
+    number, for the first check it fails: a header's count is an integer
+    and not negative; a data line has 2 or 3 fields; they are numeric; no
+    id is negative; the weight is positive and finite (DomainError, the
+    rest ParseError); both ids fit in int64. Then ids at or beyond a
+    declared count are an error, and ids must be below 3037000499, so that
+    n * n fits in int64. Duplicate edges sum their weights, and self loops
+    are dropped with a warning.
     """
     declared, parts, loops, first_line = None, [], 0, 1
     for block in _blocks(_read_all(source)):
@@ -328,9 +305,9 @@ def load_matrix_market(source) -> SparseGraph:
         warnings.warn(f"dropped {diagonal} self-loop(s)")
     averaged = ((M + M.T) * 0.5).tocsr()
     averaged.eliminate_zeros()
-    M = averaged.tocoo()
-    mask = M.row < M.col
-    return _merge_edges(M.shape[0], M.row[mask], M.col[mask], M.data[mask])
+    # canonical CSR holds each entry once, in (row, col) order
+    upper = sp.triu(averaged, k=1, format="coo")
+    return SparseGraph(M.shape[0], upper.row, upper.col, upper.data)
 
 
 def density(graph: SparseGraph, selection) -> float:

@@ -780,6 +780,26 @@ class TestOutOfRangeParameters:
         path.write_text('{"A": [[1, 0], [0, 1]], "c": [1, -1], "r": %s}' % r)
         input_error(("quad", "--problem", path), capsys, "field r must be an integer")
 
+    @pytest.mark.parametrize("command", ["quad", "oracle"])
+    def test_problem_not_utf8(self, tmp_path, command, capsys):
+        # this used to end in a UnicodeDecodeError traceback (exit 1)
+        path = tmp_path / "problem.json"
+        path.write_bytes(b'{"A": [[1, 0], [0, 1]], "c": [1, -1], "d": "\xff"}')
+        input_error((command, "--problem", path), capsys, "not UTF-8 text")
+
+    @pytest.mark.parametrize("command", ["quad", "oracle"])
+    @pytest.mark.parametrize("fields", [
+        '"A": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "c": [[1, 2], [3, 4]]',
+        '"A": [[1]], "c": "12"',
+        '"A": [[1]], "c": 12',
+    ], ids=["nested", "string", "scalar"])
+    def test_problem_c_must_be_a_list(self, tmp_path, command, fields, capsys):
+        # these used to run silently: the nested c as the length-4 vector
+        # 1, 2, 3, 4, and the string and the number as c = [12]
+        path = tmp_path / "problem.json"
+        path.write_text("{%s}" % fields)
+        input_error((command, "--problem", path), capsys, "field c must be a list")
+
 
 class TestTopLevel:
     def test_no_arguments_is_usage_error(self):

@@ -1,4 +1,5 @@
 """Graph ingestion, generation, serialization, and the density metric."""
+import contextlib
 import io
 import tracemalloc
 import warnings
@@ -6,8 +7,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.io import mmread
 
 from dpcd import (DomainError, ParseError, SparseGraph, density,
                   load_edge_list, load_matrix_market, make_dense_subgraph,
@@ -332,6 +335,26 @@ class TestEdgeListText:
             with pytest.raises(ParseError, match="^line 11: not UTF-8 text"):
                 load_edge_list(data)
 
+    @pytest.mark.parametrize("block", [4, 1 << 18])
+    @pytest.mark.parametrize("data,calls", [
+        (b"#nodes 9\n0 1\n% note\n1 2 0.5\r\n3 4\n" * 20, 0),
+        (b"0 1\n" * 20 + b"1 x\n" + b"2 3\n" * 20, 1),
+        (b"0 1\n" * 20 + b"1 \xff\n" + b"2 3\n" * 20, 1),
+    ], ids=["well-formed", "faulty", "not-utf8"])
+    def test_first_fault_runs_only_on_a_fault(self, data, calls, block):
+        # valid input never reaches the line loop; a fault reaches it once
+        seen, first_fault = [], graph_mod._first_fault
+
+        def counted(text, first_line):
+            seen.append(first_line)
+            return first_fault(text, first_line)
+
+        with mock.patch.object(graph_mod, "_BLOCK_BYTES", block), \
+                mock.patch.object(graph_mod, "_first_fault", counted), \
+                (pytest.raises(ParseError) if calls else contextlib.nullcontext()):
+            load_edge_list(data)
+        assert len(seen) == calls
+
     def test_id_beyond_int64_names_the_line(self):
         with pytest.raises(ParseError,
                            match="^line 2: node id outside int64 in '1 99999999999999999999'$"):
@@ -448,6 +471,45 @@ class TestMatrixMarket:
             "3 3 2\n2 1\n3 1\n"))
         assert g.edge_count == 2
         assert np.all(g.w == 1.0)
+
+
+def merged_load_matrix_market(data):
+    """The former MatrixMarket load: the upper triangle by mask, then
+    sorted and summed once more by _merge_edges."""
+    M = sp.coo_matrix(mmread(io.BytesIO(data)))
+    averaged = ((M + M.T) * 0.5).tocsr()
+    averaged.eliminate_zeros()
+    M = averaged.tocoo()
+    mask = M.row < M.col
+    return graph_mod._merge_edges(M.shape[0], M.row[mask], M.col[mask], M.data[mask])
+
+
+class TestMatrixMarketMatchesMerge:
+    @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_bytes(self, symmetry, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        m = int(rng.integers(0, 3 * n))
+        rows, cols = rng.integers(1, n + 1, (2, m))
+        if symmetry == "symmetric":  # stored entries lie on or below the diagonal
+            rows, cols = np.maximum(rows, cols), np.minimum(rows, cols)
+        # awkward decimals, a repeated coordinate, and a stated triangle
+        # cancelled by the other
+        weights = rng.integers(1, 1000, m) * 0.1
+        if m >= 2:
+            rows[1], cols[1] = rows[0], cols[0]
+        if symmetry == "general" and m >= 4:
+            rows[3], cols[3], weights[3] = cols[2], rows[2], -weights[2]
+        lines = [f"%%MatrixMarket matrix coordinate real {symmetry}", f"{n} {n} {m}"]
+        lines += [f"{a} {b} {float(x)!r}" for a, b, x in zip(rows, cols, weights)]
+        data = ("\n".join(lines) + "\n").encode()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # diagonal entries
+            got, want = load_matrix_market(data), merged_load_matrix_market(data)
+        assert got.n == want.n
+        for a, b in ((got.u, want.u), (got.v, want.v), (got.w, want.w)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestDensity:
