@@ -224,6 +224,14 @@ def cmd_hash(args) -> int:
     return 0
 
 
+def _json_numbers(value) -> bool:
+    # a JSON number, or nested lists of them; float() would also take the
+    # booleans and numeric strings json.load reads
+    if isinstance(value, list):
+        return all(map(_json_numbers, value))
+    return type(value) in (int, float)
+
+
 def _quad_from_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -240,8 +248,10 @@ def _quad_from_file(path):
         raise ParseError(f"problem file needs numeric fields A and c: {e}") from e
     if c.ndim != 1:
         raise ParseError("problem file field c must be a list of numbers")
-    # json.load reads NaN, Infinity and -Infinity as numbers
     for name, field in (("A", A), ("c", c), ("d", d)):
+        if not _json_numbers(spec.get(name, 0.0)):
+            raise ParseError(f"problem file field {name} must hold only JSON numbers")
+        # json.load reads NaN, Infinity and -Infinity as numbers
         if not np.isfinite(field).all():
             raise ParseError(f"problem file field {name} holds a non-finite number")
     r = spec.get("r")

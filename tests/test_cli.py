@@ -773,6 +773,23 @@ class TestOutOfRangeParameters:
         input_error((command, "--problem", path), capsys,
                     f"field {name} holds a non-finite number")
 
+    @pytest.mark.parametrize("command", ["quad", "oracle"])
+    @pytest.mark.parametrize("fields,name", [
+        ('"A": [[1, 0], [0, 1]], "c": ["1", "-1"], "d": "2"', "c"),
+        ('"A": [[true, false], [false, true]], "c": [true, -1], "d": true', "A"),
+        ('"A": [[1, "0"], [0, 1]], "c": [1, -1]', "A"),
+        ('"A": [[1, 0], [0, 1]], "c": [1, false]', "c"),
+        ('"A": [[1, 0], [0, 1]], "c": [1, -1], "d": "2"', "d"),
+        ('"A": [[1, 0], [0, 1]], "c": [1, -1], "d": true', "d"),
+    ], ids=["strings", "booleans", "A-string", "c-false", "d-string", "d-true"])
+    def test_problem_takes_only_json_numbers(self, tmp_path, command, fields, name,
+                                             capsys):
+        # float() takes these, so they used to run with exit 0
+        path = tmp_path / "problem.json"
+        path.write_text("{%s}" % fields)
+        input_error((command, "--problem", path), capsys,
+                    f"field {name} must hold only JSON numbers")
+
     @pytest.mark.parametrize("r", ['"x"', "1.7", "true", "[2]"])
     def test_problem_r_must_be_an_integer(self, tmp_path, r, capsys):
         # "x" used to end in a traceback (exit 1), and 1.7 ran as r = 1

@@ -1,5 +1,4 @@
 """Graph ingestion, generation, serialization, and the density metric."""
-import contextlib
 import io
 import tracemalloc
 import warnings
@@ -298,15 +297,29 @@ class TestEdgeListMatchesReference:
         self.check(text, graph_mod._BLOCK_BYTES)
 
 
-class TestEdgeListText:
-    def test_character_sets_match_python(self):
-        assert set(graph_mod._SPACES) == {chr(c) for c in range(0x110000)
-                                          if chr(c).isspace()}
-        everything = "a".join(map(chr, range(0x110000)))
-        breaks = {line[-1] for line in everything.splitlines(keepends=True)[:-1]}
-        assert set(graph_mod._LINE_BREAKS) == breaks
-        assert max(map(ord, graph_mod._SPACES)) < graph_mod._PLAIN
+def reads(data):
+    """load_edge_list's outcome on data, and the non-empty parts of it
+    that numpy's reader took and that the line loop was given."""
+    seen = {"numpy": [], "loop": []}
+    read_numeric, read_lines = graph_mod._read_numeric, graph_mod._read_lines
 
+    def numeric(part):
+        rows = read_numeric(part)
+        if part and rows is not None:
+            seen["numpy"].append(part)
+        return rows
+
+    def lines(part, first_line):
+        if part:
+            seen["loop"].append(part)
+        return read_lines(part, first_line)
+
+    with mock.patch.object(graph_mod, "_read_numeric", numeric), \
+            mock.patch.object(graph_mod, "_read_lines", lines):
+        return outcome(load_edge_list, data), seen
+
+
+class TestEdgeListText:
     def test_line_breaks_of_splitlines(self):
         text = "#nodes 9\r\n0 1\r1 2\x0c2 3\u20283 4\x1c4 5\r\n\r\n5\xa0x\n"
         with pytest.raises(ParseError) as caught:
@@ -335,6 +348,30 @@ class TestEdgeListText:
             with pytest.raises(ParseError, match="^line 11: not UTF-8 text"):
                 load_edge_list(data)
 
+    @pytest.mark.parametrize("data,numpy_reads,loop_reads", [
+        (b"0 1\n1\t2\r\n\n2 3", [b"0 1\n1\t2\r\n\n2 3"], []),
+        (b"0 1 0.5\n1 2 1e3\n", [b"0 1 0.5\n1 2 1e3\n"], []),
+        (b"#nodes 5\n0 1\n1 2\n", [b"0 1\n1 2\n"], [b"#nodes 5\n"]),
+        (b"0 1\n#nodes 5\n1 2\n", [b"1 2\n"], [b"0 1\n#nodes 5\n"]),
+        (b"0 1\n% note\r\n1 2 0.5\n", [b"1 2 0.5\n"], [b"0 1\n% note\r\n"]),
+        (b"0 1\x0b1 2\n", [], [b"0 1\x0b1 2\n"]),
+        (b"0 1\x0c1 2\n", [], [b"0 1\x0c1 2\n"]),
+        (b"0 1\r1 2\n", [], [b"0 1\r1 2\n"]),
+        (b"0\xc2\xa01\n1 2\n", [], [b"0\xc2\xa01\n1 2\n"]),
+        (b"1_0 2\n1 2\n", [], [b"1_0 2\n1 2\n"]),
+        (b"0 1\n1 2 0.5\n", [], [b"0 1\n1 2 0.5\n"]),
+        (b"0 1\n-1 2\n", [], [b"0 1\n-1 2\n"]),
+        (b"0 1 #x\n1 2\n", [], [b"0 1 #x\n"]),
+    ], ids=["plain-tab-crlf", "weighted", "header", "header-after-data", "percent",
+            "vertical-tab", "form-feed", "lone-cr", "nbsp", "underscore",
+            "mixed-fields", "negative-id", "inline-hash"])
+    def test_blocks_numpy_reads_and_the_loop_reads(self, data, numpy_reads, loop_reads):
+        # numpy's reader takes only what it reads as the loop does; the
+        # lines up to a comment go to the loop, the rest of the block not
+        got, seen = reads(data)
+        assert got == outcome(reference_load_edge_list, data)
+        assert seen == {"numpy": numpy_reads, "loop": loop_reads}
+
     @pytest.mark.parametrize("block", [4, 1 << 18])
     @pytest.mark.parametrize("data,calls", [
         (b"#nodes 9\n0 1\n% note\n1 2 0.5\r\n3 4\n" * 20, 0),
@@ -342,18 +379,48 @@ class TestEdgeListText:
         (b"0 1\n" * 20 + b"1 \xff\n" + b"2 3\n" * 20, 1),
     ], ids=["well-formed", "faulty", "not-utf8"])
     def test_first_fault_runs_only_on_a_fault(self, data, calls, block):
-        # valid input never reaches the line loop; a fault reaches it once
-        seen, first_fault = [], graph_mod._first_fault
+        # the line loop names a fault only on faulty input, and once
+        faults, read_lines = [], graph_mod._read_lines
 
-        def counted(text, first_line):
-            seen.append(first_line)
-            return first_fault(text, first_line)
+        def counted(part, first_line):
+            try:
+                return read_lines(part, first_line)
+            except ParseError:
+                faults.append(first_line)
+                raise
 
         with mock.patch.object(graph_mod, "_BLOCK_BYTES", block), \
-                mock.patch.object(graph_mod, "_first_fault", counted), \
-                (pytest.raises(ParseError) if calls else contextlib.nullcontext()):
-            load_edge_list(data)
-        assert len(seen) == calls
+                mock.patch.object(graph_mod, "_read_lines", counted):
+            got = outcome(load_edge_list, data)
+        assert len(faults) == calls
+        if calls:
+            assert got[0] is ParseError and got[1].startswith("line 21: ")
+        else:
+            assert got == outcome(reference_load_edge_list, data)
+
+    def test_loop_reads_the_lines_before_a_bad_byte(self):
+        data = b"0 1\n" * 20 + b"1 \xff\n" + b"2 3\n" * 20
+        got, seen = reads(data)
+        assert got == (ParseError, "line 21: not UTF-8 text (invalid start byte)")
+        assert seen == {"numpy": [], "loop": [data, b"0 1\n" * 20]}
+
+    def test_inline_hash_is_a_fault(self):
+        # numpy's reader with comments="#" would take this line as 0 1
+        with pytest.raises(ParseError, match="^line 2: non-numeric field in '0 1 #x'$"):
+            load_edge_list(b"1 2\n0 1 #x\n")
+
+    @given(st.one_of(edge_file(), edge_file(faults=1)))
+    def test_text_reads_as_its_utf8_bytes(self, text):
+        text = text.decode() if isinstance(text, bytes) else text
+        assert (outcome(load_edge_list, io.StringIO(text))
+                == outcome(load_edge_list, text.encode()))
+
+    @pytest.mark.parametrize("text", ["0\u30001\n1\xa02 0.5\n", "\u0663 \u0664\n",
+                                      "0 1\n1\u20032 x\n"])
+    def test_text_with_non_ascii_separators(self, text):
+        got = outcome(load_edge_list, io.StringIO(text))
+        assert got == outcome(load_edge_list, text.encode())
+        assert got == outcome(reference_load_edge_list, text)
 
     def test_id_beyond_int64_names_the_line(self):
         with pytest.raises(ParseError,
