@@ -179,24 +179,41 @@ def greedy_peel(graph, k: int) -> BinaryVector:
     lower ids are the preferred survivors. Returns the survivor indicator
     as a sign vector.
 
-    Each drop costs one vectorised argmin over n degrees plus an update
-    over the dropped vertex's adjacency row.
+    Each drop costs one vectorised argmin over the live degrees, plus
+    the dropped ones since the last compaction (at most a third as many),
+    and an update over the dropped vertex's adjacency row.
     """
     n = graph.n
     if not (1 <= k <= n):
         raise DomainError(f"k={k} outside [1, {n}]")
     W = graph.matrix()
-    # Degrees in reversed id order: argmin returns the first minimum, which
-    # is then the highest id among equal degrees. Dropped vertices hold +inf.
-    rdeg = graph.degrees()[::-1].copy()
-    last = n - 1
+    indptr, indices, data = W.indptr.tolist(), W.indices, W.data
+    # Live degrees in reversed id order (ids[i] is the vertex at entry i,
+    # at[v] the entry of vertex v): argmin returns the first minimum,
+    # which is then the highest id among equal degrees. A dropped vertex
+    # holds +inf until the array is compacted, after which it maps to the
+    # one trailing +inf entry, so its neighbours' updates land there
+    # harmlessly
+    ids = np.arange(n - 1, -1, -1)
+    at = ids.copy()
+    live = np.append(graph.degrees()[::-1], np.inf)
     kept = np.ones(n, dtype=bool)
+    stale = 0
     for _ in range(n - k):
-        drop = last - int(np.argmin(rdeg))
+        i = int(live.argmin())
+        drop = int(ids[i])
         kept[drop] = False
-        rdeg[last - drop] = np.inf
-        lo, hi = W.indptr[drop], W.indptr[drop + 1]
+        live[i] = np.inf
         # the fancy-indexed -= subtracts once per index; the cached CSR
         # adjacency is canonical, so each neighbour appears once per row
-        rdeg[last - W.indices[lo:hi]] -= W.data[lo:hi]
+        row = slice(indptr[drop], indptr[drop + 1])
+        live[at[indices[row]]] -= data[row]
+        stale += 1
+        if 4 * stale >= len(ids):
+            alive = kept[ids]
+            ids = ids[alive]
+            live = np.append(live[:-1][alive], np.inf)
+            at.fill(len(ids))
+            at[ids] = np.arange(len(ids))
+            stale = 0
     return _sign_vector(kept)

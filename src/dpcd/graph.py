@@ -267,17 +267,15 @@ def load_edge_list(source) -> SparseGraph:
 
 def save_edge_list(graph: SparseGraph, sink) -> None:
     """Inverse of load_edge_list; repr() keeps float weights bit-exact."""
-    own = not hasattr(sink, "write")
-    fh = open(sink, "w") if own else sink
-    try:
-        fh.write(f"#nodes {graph.n}\n")
-        for a, b, weight in zip(graph.u, graph.v, graph.w):
-            # plain-float repr: round-trippable, and never the numpy
-            # scalar form that the parser would reject
-            fh.write(f"{int(a)} {int(b)} {float(weight)!r}\n")
-    finally:
-        if own:
-            fh.close()
+    # tolist gives Python ints and floats: a float's repr round-trips, and
+    # is never the numpy scalar form that the parser would reject
+    edges = zip(graph.u.tolist(), graph.v.tolist(), graph.w.tolist())
+    text = f"#nodes {graph.n}\n" + "".join([f"{a} {b} {weight!r}\n" for a, b, weight in edges])
+    if hasattr(sink, "write"):
+        sink.write(text)
+    else:
+        with open(sink, "w") as fh:
+            fh.write(text)
 
 
 def load_matrix_market(source) -> SparseGraph:

@@ -107,40 +107,51 @@ def _sparse_pair_coeffs(A, x):
     x and held transposed: one block column per p in plus, one block row
     per neighbour q of the +1 set, and one zero row that every other
     vertex maps to. A slice move lists its +1 entries first, so each of its
-    pairs with an endpoint in plus is such a pair. Every other pair pays
-    scipy's per-element lookup, and all pairs do when the block would
-    exceed BLOCK_ENTRIES.
+    pairs with an endpoint in plus is such a pair. The block's other
+    pairs, and all pairs when the dense block would exceed BLOCK_ENTRIES,
+    are read together by one scipy lookup, of which each pair takes its
+    slice.
     """
-    def lookup(a, b):
-        return np.asarray(A[a, b]).ravel()
-
     n = A.shape[0]
     plus = np.flatnonzero(np.asarray(x) > 0)
     k = len(plus)
     rows = A[plus]
     nbrs, slot_of = np.unique(rows.indices, return_inverse=True)
     width = len(nbrs) + 1
-    if k * width > BLOCK_ENTRIES:
-        return lambda cols: lambda u, v: lookup(cols[u], cols[v])
-    block = np.zeros((width, k))
-    block[slot_of, np.repeat(np.arange(k), np.diff(rows.indptr))] = rows.data
-    flat = block.ravel()
-    slot = np.full(n, len(nbrs))
-    slot[nbrs] = np.arange(len(nbrs))
-    pos = np.full(n, -1)
-    pos[plus] = np.arange(k)
+    dense = k * width <= BLOCK_ENTRIES
+    if dense:
+        block = np.zeros((width, k))
+        block[slot_of, np.repeat(np.arange(k), np.diff(rows.indptr))] = rows.data
+        flat = block.ravel()
+        slot = np.full(n, len(nbrs))
+        slot[nbrs] = np.arange(len(nbrs))
+        pos = np.full(n, -1)
+        pos[plus] = np.arange(k)
 
     def for_columns(cols):
-        # per index column: each entry's block column (-1 off plus) and
-        # the flat offset of its block row
-        at = pos[cols]
-        base = slot[cols] * k
-        every = (at >= 0).all(axis=1)
+        j, m = cols.shape
+        every = np.zeros(j, dtype=bool)
+        if dense:
+            # per index column: each entry's block column (-1 off plus)
+            # and the flat offset of its block row
+            at = pos[cols]
+            base = slot[cols] * k
+            every = (at >= 0).all(axis=1)
+        # the pairs the block cannot serve, read by one lookup: pair
+        # (u, v) takes row which[u, v] of looked
+        first, second = np.triu_indices(j, 1)
+        missed = ~every[first]
+        first, second = first[missed], second[missed]
+        which = np.zeros((j, j), dtype=np.intp)
+        which[first, second] = np.arange(len(first))
+        if len(first):
+            looked = np.asarray(A[cols[first].ravel(), cols[second].ravel()])
+            looked = looked.reshape(len(first), m)
 
         def coeffs(u, v):
             if every[u]:
                 return flat.take(base[v] + at[u])
-            return lookup(cols[u], cols[v])
+            return looked[which[u, v]]
 
         return coeffs
 
@@ -163,9 +174,13 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
     last point it scored: from a dense table, the signed table
     ((8x)x') o A once a block has at least n^2 pair terms (and n^2 <=
     BLOCK_ENTRIES), so a pair term is one take; from the CSR form, the
-    block of +1 rows (_sparse_pair_coeffs). Every path gives the same
-    bits. A slice sample's s'As sums its r(r-1)/2 pairs from that copy
-    while (r - 1)*n <= 2*nnz, so no more lookups than the r*nnz/n stored
+    block of +1 rows and one scipy lookup a block for the rest
+    (_sparse_pair_coeffs). Every path gives the same bits. The gains
+    read A @ x from value_gradient's last call when that was at the same
+    point, as it is when the solver searches from the iterate it has
+    just evaluated, so that point costs one mat-vec. A slice sample's
+    s'As sums its r(r-1)/2 pairs from that copy while
+    (r - 1)*n <= 2*nnz, so no more lookups than the r*nnz/n stored
     entries the sparse product S o (S @ A) reads, which scores it
     otherwise.
     """
@@ -208,9 +223,16 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
     ones_linear = 2.0 * c - 4.0 * A1
     ones_constant = float(A1.sum()) - float(c.sum()) + d
 
+    # the last point value_gradient evaluated, a private copy, and A @ x
+    # there: the solver's local search scores the iterate it has just
+    # evaluated, so point_state reads the product instead of forming it
+    product = (np.empty(0), None)
+
     def value_gradient(x):
+        nonlocal product
         x = np.asarray(x, dtype=float)
         Ax = A @ x
+        product = (x.copy(), Ax)
         return float(x @ Ax + c @ x + d), 2.0 * Ax + c
 
     def value_batch(X):
@@ -243,16 +265,20 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
     # the last point flips_delta scored: a private copy (so a caller's
     # in-place change is seen), its gains s and its pair source. A
     # search's radius blocks, and the searches of a stall, then share one
-    # A @ x and one pair source. Equal values suffice: a zero's sign never
-    # reaches a delta, whose sums start at +0.0
+    # A @ x and one pair source. Equal values suffice, here and for the
+    # product: a zero's sign never reaches a delta, whose sums start at
+    # +0.0
     last = None
 
     def point_state(x):
         nonlocal last
         state = last
         if state is None or not np.array_equal(state["x"], x):
-            state = {"x": x.copy(),
-                     "gains": x * (4.0 * diag * x - 4.0 * (A @ x) - 2.0 * c),
+            seen, Ax = product
+            if not np.array_equal(seen, x):
+                seen, Ax = x.copy(), A @ x
+            state = {"x": seen,
+                     "gains": x * (4.0 * diag * x - 4.0 * Ax - 2.0 * c),
                      "pairs": _sparse_pair_coeffs(A, x) if square is None else None}
             last = state
         return state

@@ -243,6 +243,25 @@ class TestGreedyPeel:
             for k in sorted({1, max(1, n // 3), n - 1, n}):
                 assert np.array_equal(greedy_peel(g, k), reference_peel(g, k)), (trial, k)
 
+    @pytest.mark.parametrize("n", [300, 2000])
+    @pytest.mark.parametrize("kind", ["unit", "non-dyadic", "cycle", "isolated"])
+    def test_matches_reference_peel_across_compactions(self, n, kind):
+        # long enough peels to compact the live degrees many times, with
+        # ties everywhere (a cycle's degrees are all equal) and vertices
+        # whose degree is 0 from the start
+        if kind == "cycle":
+            ids = np.arange(n)
+            g = SparseGraph(n, np.minimum(ids, (ids + 1) % n),
+                            np.maximum(ids, (ids + 1) % n), np.ones(n))
+        elif kind == "isolated":
+            half = random_graph(n // 2, 3 * n, [0.1, 0.3], n)
+            g = SparseGraph(n, 2 * half.u, 2 * half.v, half.w)
+        else:
+            weights = [1.0] if kind == "unit" else [0.1, 0.2, 0.3, 0.7]
+            g = random_graph(n, 3 * n, weights, n)
+        for k in (1, n // 2, n - 1, n):
+            assert np.array_equal(greedy_peel(g, k), reference_peel(g, k)), k
+
 
 class TestRandomSearch:
     def test_single_sample(self):

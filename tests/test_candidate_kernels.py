@@ -291,7 +291,8 @@ class TestSignedTable:
 
 class TestPointState:
     """flips_delta keeps the gains and the pair source of the last point
-    it scored, keyed on a private copy of that point's bits; every call
+    it scored, keyed on a private copy of that point's bits, and reads
+    A @ x from value_gradient's last call at an equal point; every call
     returns what a freshly built objective returns."""
 
     @staticmethod
@@ -332,7 +333,10 @@ class TestPointState:
         x3 = np.where(rng.random(n) < 0.3, 1.0, -1.0)
         blocks = self._blocks(rng, x3)
         f = make_quadratic(A, c)
-        for x in (x1, x2, x1, x3, x1, x3):
+        # each point scored after an evaluation at it, at an equal point
+        # of other bits, or at another point
+        for x, evaluated in ((x1, x1), (x2, x1), (x1, x2), (x3, x1), (x1, x3), (x3, x3)):
+            f.value_gradient(evaluated)
             self._check(f, A, c, x, blocks)
 
     @pytest.mark.parametrize("kind", ["dense", "table", "csr"])
@@ -344,6 +348,7 @@ class TestPointState:
         f = make_quadratic(A, c)
         self._check(f, A, c, x, blocks)
         for i in (3, 0, 7):
+            f.value_gradient(x)
             x[i] = -x[i]
             self._check(f, A, c, x, blocks)
         x[0] = 0.0
@@ -352,8 +357,9 @@ class TestPointState:
         self._check(f, A, c, x, blocks)
 
     def test_threads_sharing_one_objective(self):
-        # callers on several threads swap the kept point under each other;
-        # a call may rebuild another's state, never read a wrong one
+        # callers on several threads swap the kept point and the kept
+        # product under each other; a call may rebuild another's state,
+        # never read a wrong one
         A, c, rng = self._case("dense")
         n = len(c)
         points = [np.where(rng.random(n) < p, 1.0, -1.0) for p in (0.2, 0.5, 0.8)]
@@ -367,6 +373,7 @@ class TestPointState:
             try:
                 for step in range(200):
                     i, k = (step + offset) % len(points), (step * 7 + offset) % len(blocks)
+                    f.value_gradient(points[(i + step % 2) % len(points)])
                     got = f.flips_delta(points[i], blocks[k])
                     results.append(got.tobytes() == want[i, k])
             except Exception as e:  # reported below, not lost in the thread
@@ -537,6 +544,33 @@ class TestPlusRowBlock:
         A, c, x, rng = case
         plus, minus = np.flatnonzero(x > 0), np.flatnonzero(x < 0)
         self._check(A, c, x, self._slice_rows(rng, plus, minus, 3, 300))
+
+    @pytest.mark.parametrize("cap", [None, 1], ids=["row-block", "no-row-block"])
+    def test_one_scipy_lookup_per_block(self, case, cap, monkeypatch):
+        # every pair the block of +1 rows cannot serve is read by one
+        # scipy lookup per candidate block, whatever the radius
+        A, c, x, rng = case
+        if cap is not None:
+            monkeypatch.setattr(objectives, "BLOCK_ENTRIES", cap)
+        plus, minus = np.flatnonzero(x > 0), np.flatnonzero(x < 0)
+        blocks = [np.argsort(rng.random((300, self.N)), axis=1)[:, :4],
+                  self._slice_rows(rng, plus, minus, 3, 300),
+                  self._slice_rows(rng, plus, minus, 5, 300)]
+        wants = [reference_flips_delta(A, c, x, flips) for flips in blocks]
+        f = make_quadratic(A, c)
+        f.flips_delta(x, blocks[0][:, :1])  # the point's state, built once
+        keys = []
+        get = type(A).__getitem__
+
+        def counted(self, key):
+            keys.append(key)
+            return get(self, key)
+
+        monkeypatch.setattr(type(A), "__getitem__", counted)
+        for flips, want in zip(blocks, wants):
+            before = len(keys)
+            assert np.array_equal(f.flips_delta(x, flips), want)
+            assert len(keys) - before == 1
 
     def test_duplicate_entries(self, case):
         # every stored entry split into two halves: the halves are summed,

@@ -115,6 +115,26 @@ class TestEdgeList:
         assert np.array_equal(back.v, g.v)
         assert np.array_equal(back.w, g.w)
 
+    @pytest.mark.parametrize("to_path", [False, True], ids=["stream", "path"])
+    def test_matches_per_edge_writer(self, to_path, tmp_path):
+        # the text a per-edge f-string writer makes, byte for byte
+        key = np.unique(np.random.default_rng(8).integers(0, 50 * 50, 300))
+        u, v = key // 50, key % 50
+        keep = u < v
+        g = SparseGraph(50, u[keep], v[keep], np.resize([0.1, 1e-300, 5e20, 1.0], keep.sum()))
+        want = io.StringIO()
+        want.write(f"#nodes {g.n}\n")
+        for a, b, weight in zip(g.u, g.v, g.w):
+            want.write(f"{int(a)} {int(b)} {float(weight)!r}\n")
+        if to_path:
+            save_edge_list(g, tmp_path / "g.edges")
+            got = (tmp_path / "g.edges").read_bytes()
+        else:
+            sink = io.StringIO()
+            save_edge_list(g, sink)
+            got = sink.getvalue().encode()
+        assert got == want.getvalue().encode()
+
     def test_round_trip_via_path(self, tmp_path):
         g = SparseGraph(3, [0, 1], [1, 2], [0.125, 3.5])
         p = tmp_path / "g.edges"

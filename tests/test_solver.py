@@ -1,6 +1,8 @@
 """Solver mechanics: thresholds, principal sets, flips, local search, loop."""
+import cProfile
 import dataclasses
 import itertools
+import pstats
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from dpcd import (GRADIENT_AVERAGE, LIPSCHITZ, AffinityProblem, BoundUnavailable
                   constraint_check, derive_thresholds, dpcd_solve, effective_epsilon,
                   enumerate_neighborhood, exact_ones, exhaustive_oracle,
                   hamming_distance, make_affinity_objective, make_hashing_objective,
-                  make_quadratic, make_shifted_separable,
-                  neighborhood_search, neighborhood_size, principal_sets,
+                  make_dense_subgraph, make_quadratic, make_shifted_separable,
+                  neighborhood_search, neighborhood_size, planted_partition, principal_sets,
                   random_feasible, random_search, sgm_solve, step_bound,
                   unconstrained_flip)
 
@@ -664,6 +666,20 @@ class TestFusedEvaluation:
         alternating_hash(X, Y, 6, outer_iterations=3, inner=inner, seed=2)
         assert reports and sum(rep.iterations for rep in reports) > len(reports)
         assert [count[0] for count in counts] == [rep.iterations + 1 for rep in reports]
+
+    def test_sparse_search_reads_the_iterates_product(self):
+        # past the dense-gather limit the local search scores the iterate
+        # value_gradient has just evaluated, so each iterate costs one
+        # sparse mat-vec, the search none
+        g, _ = planted_partition(3000, 30, 0.5, 0.01, seed=4)
+        f, c = make_dense_subgraph(g, 30)
+        cfg = SolverConfig(max_iterations=10, neighborhood_cadence=1, seed=3)
+        profile = cProfile.Profile()
+        rep = profile.runcall(dpcd_solve, f, c, cfg)
+        matvecs = sum(stats[0] for (_, _, name), stats in pstats.Stats(profile).stats.items()
+                      if name.endswith(".csr_matvec>"))
+        assert rep.iterations == 10 and all(rep.flips_per_iteration)
+        assert matvecs == rep.iterations + 1
 
     @given(family=FAMILIES, seed=st.integers(0, 2 ** 32 - 1))
     def test_sgm_evaluates_each_iterate_once(self, family, seed):
