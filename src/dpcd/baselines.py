@@ -15,6 +15,7 @@ from .core import (
     BinaryVector,
     ConstraintSpec,
     DomainError,
+    NumericError,
     Objective,
     SolverReport,
     UNCONSTRAINED,
@@ -181,11 +182,16 @@ def greedy_peel(graph, k: int) -> BinaryVector:
 
     Each drop costs one vectorised argmin over the live degrees, plus
     the dropped ones since the last compaction (at most a third as many),
-    and an update over the dropped vertex's adjacency row.
+    and an update over the dropped vertex's adjacency row. A weighted
+    degree that is not finite (its weights overflow) raises NumericError:
+    a dropped vertex's +inf could otherwise win the argmin again.
     """
     n = graph.n
     if not (1 <= k <= n):
         raise DomainError(f"k={k} outside [1, {n}]")
+    degrees = graph.degrees()
+    if not np.isfinite(degrees).all():
+        raise NumericError("non-finite weighted degree: the edge weights overflow")
     W = graph.matrix()
     indptr, indices, data = W.indptr.tolist(), W.indices, W.data
     # Live degrees in reversed id order (ids[i] is the vertex at entry i,
@@ -196,7 +202,7 @@ def greedy_peel(graph, k: int) -> BinaryVector:
     # harmlessly
     ids = np.arange(n - 1, -1, -1)
     at = ids.copy()
-    live = np.append(graph.degrees()[::-1], np.inf)
+    live = np.append(degrees[::-1], np.inf)
     kept = np.ones(n, dtype=bool)
     stale = 0
     for _ in range(n - k):

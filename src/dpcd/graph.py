@@ -58,11 +58,23 @@ class SparseGraph:
         return 2.0 * float(self.w.sum())
 
     def matrix(self) -> sp.csr_matrix:
+        """The symmetric CSR adjacency U + U', built once and cached, where
+        U is the CSR of the stored u < v triangle.
+
+        Edges stored in (u, v) order, once each, as the loaders and
+        planted_partition store them, fill U's rows as they stand. Other
+        edges are sorted first, and an edge stored more than once sums its
+        weights in stored order (_merge_edges), so entries (u, v) and
+        (v, u) always hold the same number."""
         if self._matrix is None:
-            rows = np.concatenate([self.u, self.v])
-            cols = np.concatenate([self.v, self.u])
-            vals = np.concatenate([self.w, self.w])
-            self._matrix = sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
+            n, u, v, w = self.n, self.u, self.v, self.w
+            if not ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all():
+                merged = _merge_edges(n, u, v, w)
+                u, v, w = merged.u, merged.v, merged.w
+            indptr = np.zeros(n + 1, dtype=np.intp)
+            np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
+            upper = sp.csr_matrix((w, v, indptr), shape=(n, n))
+            self._matrix = upper + upper.T
         return self._matrix
 
     def degrees(self) -> np.ndarray:
@@ -209,6 +221,9 @@ def _merge_edges(n_declared, raw_u, raw_v, raw_w):
     if len(u) == 0:
         return SparseGraph(n, [], [], [])
     key = np.minimum(u, v) * n + np.maximum(u, v)
+    if (key[1:] > key[:-1]).all():
+        # in key order already, each edge once: nothing to sort or sum
+        return SparseGraph(n, np.minimum(u, v), np.maximum(u, v), w)
     order = np.argsort(key, kind="stable")
     key = key[order]
     boundaries = np.concatenate([[True], key[1:] != key[:-1]])
@@ -280,7 +295,13 @@ def save_edge_list(graph: SparseGraph, sink) -> None:
 
 def load_matrix_market(source) -> SparseGraph:
     """MatrixMarket coordinate input; general matrices are symmetrized by
-    averaging the two triangles, symmetric ones load as stored."""
+    averaging the two triangles, symmetric ones load as stored.
+
+    Edge (i, j), i < j, weighs (U + L')/2 at (i, j): U is the CSR of
+    the strict upper triangle of the entries mmread gives (a symmetric
+    file's both halves), L' that of the strict lower one, transposed.
+    Each sums a coordinate stated more than once. An edge that averages
+    to zero is dropped; one below zero is a DomainError."""
     try:
         M = mmread(io.BytesIO(_read_all(source)))
     except Exception as e:
@@ -291,11 +312,14 @@ def load_matrix_market(source) -> SparseGraph:
     diagonal = int(np.count_nonzero(M.row == M.col))
     if diagonal:
         warnings.warn(f"dropped {diagonal} self-loop(s)")
-    averaged = ((M + M.T) * 0.5).tocsr()
+    up, low = M.row < M.col, M.row > M.col
+    upper = sp.csr_matrix((M.data[up], (M.row[up], M.col[up])), shape=M.shape)
+    lower_t = sp.csr_matrix((M.data[low], (M.col[low], M.row[low])), shape=M.shape)
+    averaged = (upper + lower_t) * 0.5
     averaged.eliminate_zeros()
     # canonical CSR holds each entry once, in (row, col) order
-    upper = sp.triu(averaged, k=1, format="coo")
-    return SparseGraph(M.shape[0], upper.row, upper.col, upper.data)
+    edges = averaged.tocoo()
+    return SparseGraph(M.shape[0], edges.row, edges.col, edges.data)
 
 
 def density(graph: SparseGraph, selection) -> float:

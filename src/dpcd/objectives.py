@@ -97,10 +97,61 @@ def _pair_table(A) -> np.ndarray:
     return table
 
 
-def _sparse_pair_coeffs(A, x):
+# stored entries a _pair_filter build chunk hashes at once: its scratch
+# slots (8 bytes an entry) stay within a core's cache
+_FILTER_CHUNK = 1 << 16
+# Fibonacci hashing's multiplier, 2^64 / golden ratio (Knuth, TAOCP 6.4)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _pair_filter(A):
+    """A one-hash Bloom filter (Bloom, CACM 1970) of the keys (row, col)
+    of a canonical CSR A's stored entries: the map (a, b) -> 1 where
+    A[a, b] may be stored, 0 where it is not.
+
+    Row p owns the 8 bit slots of each of its stored entries, bytes
+    indptr[p] to indptr[p + 1] of a packed table (one byte more, which a
+    row that stores nothing reads), and key (p, q) sets the slot that the
+    top bits of its Fibonacci hash pick among them. A key that is not
+    stored then reads 1 with odds of about 1 - e^(-1/8), 12 %. The table
+    is built in row chunks, each through a bool scratch of its own slots.
+    """
+    n = A.shape[0]
+    indptr = A.indptr.astype(np.uint64)
+    first = indptr[:-1] << np.uint64(3)
+    width = np.diff(indptr) << np.uint64(3)
+
+    def slots(a, b):
+        h = (a * n + b).astype(np.uint64)
+        h *= _GOLDEN
+        h >>= np.uint64(32)
+        h *= width[a]
+        h >>= np.uint64(32)
+        h += first[a]
+        return h
+
+    table = np.zeros(A.nnz + 1, dtype=np.uint8)
+    step = max(1, n * _FILTER_CHUNK // max(A.nnz, 1))
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        lo, hi = int(indptr[start]), int(indptr[stop])
+        rows = np.repeat(np.arange(start, stop), np.diff(A.indptr[start:stop + 1]))
+        scratch = np.zeros(8 * (hi - lo), dtype=bool)
+        scratch[slots(rows, A.indices[lo:hi]) - np.uint64(8 * lo)] = True
+        table[lo:hi] = np.packbits(scratch, bitorder="little")
+
+    def maybe_stored(a, b):
+        h = slots(a, b)
+        return (table[h >> np.uint64(3)] >> (h & np.uint64(7)).astype(np.uint8)) & np.uint8(1)
+
+    return maybe_stored
+
+
+def _sparse_pair_coeffs(A, x, maybe_stored):
     """For an exactly symmetric, canonical CSR A (no duplicate entries,
-    so each value is one entry) and a point x: the map from a block's
-    index columns cols to its lookup (u, v) -> A[cols[u], cols[v]].
+    so each value is one entry), a point x and A's _pair_filter: the map
+    from a block's index columns cols to its lookup
+    (u, v) -> A[cols[u], cols[v]].
 
     A pair (u, v) whose first index column holds only +1 entries of x
     reads A[p, q] from a dense block of the rows A[plus], built once for
@@ -110,7 +161,8 @@ def _sparse_pair_coeffs(A, x):
     pairs with an endpoint in plus is such a pair. The block's other
     pairs, and all pairs when the dense block would exceed BLOCK_ENTRIES,
     are read together by one scipy lookup, of which each pair takes its
-    slice.
+    slice. That lookup reads only the pairs the filter passes; every
+    other pair reads +0.0, as scipy reads an entry that is not stored.
     """
     n = A.shape[0]
     plus = np.flatnonzero(np.asarray(x) > 0)
@@ -145,7 +197,10 @@ def _sparse_pair_coeffs(A, x):
         which = np.zeros((j, j), dtype=np.intp)
         which[first, second] = np.arange(len(first))
         if len(first):
-            looked = np.asarray(A[cols[first].ravel(), cols[second].ravel()])
+            a, b = cols[first].ravel(), cols[second].ravel()
+            hit = np.flatnonzero(maybe_stored(a, b))
+            looked = np.zeros(a.size)
+            looked[hit] = np.asarray(A[a[hit], b[hit]]).ravel()
             looked = looked.reshape(len(first), m)
 
         def coeffs(u, v):
@@ -175,22 +230,33 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
     ((8x)x') o A once a block has at least n^2 pair terms (and n^2 <=
     BLOCK_ENTRIES), so a pair term is one take; from the CSR form, the
     block of +1 rows and one scipy lookup a block for the rest
-    (_sparse_pair_coeffs). Every path gives the same bits. The gains
-    read A @ x from value_gradient's last call when that was at the same
-    point, as it is when the solver searches from the iterate it has
-    just evaluated, so that point costs one mat-vec. A slice sample's
-    s'As sums its r(r-1)/2 pairs from that copy while
+    (_sparse_pair_coeffs), which reads only the pairs that a packed bit
+    filter of A's stored keys passes (_pair_filter: one bit a key, 8
+    slots a stored entry, about nnz bytes, built on the first search;
+    about 12 % of the pairs not stored pass). Every path gives the same
+    bits. The gains read A @ x from value_gradient's last call when that
+    was at the same point, as it is when the solver searches from the
+    iterate it has just evaluated, so that point costs one mat-vec. A
+    slice sample's s'As sums its r(r-1)/2 pairs from that copy while
     (r - 1)*n <= 2*nnz, so no more lookups than the r*nnz/n stored
     entries the sparse product S o (S @ A) reads, which scores it
     otherwise.
     """
+    return _quadratic(A, c, d, symmetrize=True)
+
+
+def _quadratic(A, c, d, symmetrize: bool) -> Objective:
+    # make_quadratic's objective. symmetrize=False takes A as exactly
+    # symmetric, as make_dense_subgraph's -W is by construction
+    # (SparseGraph.matrix), and skips the check, which transposes A
     c = np.asarray(c, dtype=float).reshape(-1)
     n = c.shape[0]
     if not sp.issparse(A):
         A = np.asarray(A, dtype=float)
     if A.shape != (n, n):
         raise DimensionError(f"A is {A.shape}, expected ({n}, {n})")
-    A = _symmetrized(A, "quadratic coefficient matrix")
+    if symmetrize:
+        A = _symmetrized(A, "quadratic coefficient matrix")
     sparse = sp.issparse(A)
     if sparse:
         A = A.tocsr()
@@ -269,17 +335,25 @@ def make_quadratic(A, c, d: float = 0.0) -> Objective:
     # product: a zero's sign never reaches a delta, whose sums start at
     # +0.0
     last = None
+    # the _pair_filter of a sparse A past the dense-gather limit, built
+    # when a search first scores a point
+    maybe_stored = None
 
     def point_state(x):
-        nonlocal last
+        nonlocal last, maybe_stored
         state = last
         if state is None or not np.array_equal(state["x"], x):
             seen, Ax = product
             if not np.array_equal(seen, x):
                 seen, Ax = x.copy(), A @ x
+            pairs = None
+            if square is None:
+                if maybe_stored is None:
+                    maybe_stored = _pair_filter(A)
+                pairs = _sparse_pair_coeffs(A, x, maybe_stored)
             state = {"x": seen,
                      "gains": x * (4.0 * diag * x - 4.0 * Ax - 2.0 * c),
-                     "pairs": _sparse_pair_coeffs(A, x) if square is None else None}
+                     "pairs": pairs}
             last = state
         return state
 
@@ -384,12 +458,13 @@ def make_dense_subgraph(graph, k: int):
     a k-vertex budget becomes minimizing f(y) = -y'Wy - 2y'W1 over sign
     vectors with exactly k entries +1 (the constant -1'W1 is dropped; add
     graph.total_weight back to recover -4*x'Wx). Returns the objective and
-    that constraint.
+    that constraint. W = graph.matrix() is exactly symmetric, so the
+    objective skips make_quadratic's symmetry check, a transpose of W.
     """
     n = graph.n
     if k < 0 or k > n:
         raise DomainError(f"k={k} outside [0, {n}]")
-    obj = make_quadratic(-graph.matrix(), -2.0 * graph.degrees(), 0.0)
+    obj = _quadratic(-graph.matrix(), -2.0 * graph.degrees(), 0.0, symmetrize=False)
     return replace(obj, name="dense-subgraph"), exact_ones(k)
 
 

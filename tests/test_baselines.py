@@ -227,6 +227,17 @@ class TestGreedyPeel:
             assert int(np.sum(x > 0)) == k
             assert set(np.unique(x)) <= {-1.0, 1.0}
 
+    @pytest.mark.parametrize("n,k", [(4, 2), (12, 6)])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_degrees_raise(self, n, k):
+        # every weight 1e308: each weighted degree overflows to +inf, which
+        # is also what a dropped vertex holds, so the argmin could pick a
+        # dropped vertex again and leave more than k survivors
+        u, v = np.triu_indices(n, 1)
+        g = SparseGraph(n, u, v, np.full(len(u), 1e308))
+        with pytest.raises(NumericError, match="non-finite weighted degree"):
+            greedy_peel(g, k)
+
     def test_weighted_degrees_drive_removal(self):
         # path 0-1-2 with a heavy pendant on 2: vertex 0 is the weakest
         g = SparseGraph(4, [0, 1, 2], [1, 2, 3], [1.0, 1.0, 5.0])

@@ -567,10 +567,102 @@ class TestPlusRowBlock:
             return get(self, key)
 
         monkeypatch.setattr(type(A), "__getitem__", counted)
+        passes = objectives._pair_filter(A)
         for flips, want in zip(blocks, wants):
             before = len(keys)
             assert np.array_equal(f.flips_delta(x, flips), want)
             assert len(keys) - before == 1
+            # the lookup reads just the pair filter's hits among the pairs
+            # the +1-row block cannot serve, and they are under 20 % of them
+            first, second = np.triu_indices(flips.shape[1], 1)
+            if cap is None:
+                missed = ~(x[flips[:, first]] > 0).all(axis=0)
+                first, second = first[missed], second[missed]
+            a, b = flips[:, first].T.ravel(), flips[:, second].T.ravel()
+            hit = passes(a, b).astype(bool)
+            rows, cols = keys[-1]
+            assert np.array_equal(rows, a[hit]) and np.array_equal(cols, b[hit])
+            assert hit.sum() < 0.2 * len(a)
+
+    @pytest.mark.parametrize("golden", [None, 0], ids=["fibonacci", "one-slot-a-row"])
+    def test_pair_filter(self, case, golden, monkeypatch):
+        # every stored key passes; about 1 - e^(-1/8) of the others do,
+        # and all of a row's keys when every key hashes to one slot
+        A, _, _, rng = case
+        if golden is not None:
+            monkeypatch.setattr(objectives, "_GOLDEN", np.uint64(golden))
+        passes = objectives._pair_filter(A)
+        rows = np.repeat(np.arange(self.N), np.diff(A.indptr))
+        assert passes(rows, A.indices).all()
+        a, b = rng.integers(0, self.N, (2, 200000))
+        absent = ~np.isin(a * self.N + b, rows * self.N + A.indices)
+        rate = passes(a, b)[absent].mean()
+        assert (0.09 < rate < 0.15) if golden is None else rate == 1.0
+
+    @pytest.mark.parametrize("golden", [None, 0], ids=["fibonacci", "every-key-collides"])
+    @pytest.mark.parametrize("zeros", [False, True], ids=["weights", "signed-zeros"])
+    def test_filter_keeps_the_bits(self, case, golden, zeros, monkeypatch):
+        # each pair coefficient is scipy's value, and each delta has the
+        # reference's bytes, on A's weights and on stored +0.0 and -0.0
+        # entries (one -0.0 without its mirror). A pair the filter passes
+        # but A does not store reads +0.0. Zeros compare as +0.0: scipy
+        # itself gives a stored -0.0 back as -0.0 when one call reads more
+        # than nnz/10 pairs (it bisects each row) and as +0.0 otherwise
+        # (it sums a row's matches from 0), and a zero's sign never
+        # reaches a delta, whose sums start at +0.0
+        A, c, x, rng = case
+        if golden is not None:
+            monkeypatch.setattr(objectives, "_GOLDEN", np.uint64(golden))
+        plus, minus = np.flatnonzero(x > 0), np.flatnonzero(x < 0)
+        flips = np.empty((300, 6), dtype=np.intp)
+        flips[::2] = self._slice_rows(rng, plus, minus, 3, 150)
+        flips[1::2] = self._slice_rows(rng, minus, plus, 3, 150)
+        if zeros:
+            upper = sp.triu(A, format="coo")
+            signs = rng.choice([0.0, -0.0], upper.nnz)
+            off = upper.row != upper.col
+            p, q = flips[0, 0], flips[0, 3]  # a pair of the first move
+            A = sp.csr_array((np.concatenate([signs, signs[off], [-0.0]]),
+                              (np.concatenate([upper.row, upper.col[off], [p]]),
+                               np.concatenate([upper.col, upper.row[off], [q]]))),
+                             shape=A.shape)
+            assert A.has_canonical_format and A[p, q] == 0 and A[q, p] == 0
+        for block in (flips, np.argsort(rng.random((300, self.N)), axis=1)[:, :4]):
+            cols = np.ascontiguousarray(block.T)
+            coeffs = objectives._sparse_pair_coeffs(A, x, objectives._pair_filter(A))(cols)
+            for u, v in itertools.combinations(range(len(cols)), 2):
+                want = np.asarray(A[cols[u], cols[v]]).ravel()
+                assert (coeffs(u, v) + 0.0).tobytes() == (want + 0.0).tobytes(), (u, v)
+            got = make_quadratic(A, c).flips_delta(x, block)
+            assert got.tobytes() == reference_flips_delta(A, c, x, block).tobytes()
+
+    @pytest.mark.parametrize("kind", [sp.csr_array, sp.csr_matrix])
+    def test_block_without_filter_hits(self, case, kind):
+        # an A that stores nothing: no pair passes the filter, so the
+        # block's scipy lookup gets empty index arrays
+        _, c, x, rng = case
+        A = kind((self.N, self.N))
+        flips = np.argsort(rng.random((300, self.N)), axis=1)[:, :4]
+        got = make_quadratic(A, c).flips_delta(x, flips)
+        assert got.tobytes() == reference_flips_delta(A, c, x, flips).tobytes()
+
+    def test_filter_built_once(self, case, monkeypatch):
+        # one filter per objective, built when a search first scores a point
+        A, c, x, rng = case
+        made = []
+        build = objectives._pair_filter
+
+        def counted(A):
+            made.append(1)
+            return build(A)
+
+        monkeypatch.setattr(objectives, "_pair_filter", counted)
+        f = make_quadratic(A, c)
+        assert not made
+        plus, minus = np.flatnonzero(x > 0), np.flatnonzero(x < 0)
+        for point in (x, -x, x):
+            f.flips_delta(point, self._slice_rows(rng, plus, minus, 3, 50))
+        assert len(made) == 1
 
     def test_duplicate_entries(self, case):
         # every stored entry split into two halves: the halves are summed,

@@ -59,6 +59,29 @@ class TestEdgeList:
         assert g.edge_count == 1
         assert g.w[0] == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("text,sorts", [
+        (b"#nodes 6\n0 1 0.1\n0 4\n3 1 0.7\n1 5\n2 3 0.3\n", 0),  # "3 1" keys as (1, 3)
+        (b"0 1 0.1\n2 3\n0 4 0.2\n", 1),
+        (b"0 1 0.1\n0 2\n1 0 0.2\n", 1),
+    ], ids=["key-order", "unsorted", "repeated"])
+    def test_merge_sorts_only_what_needs_it(self, text, sorts, monkeypatch):
+        # edges already in key order, each once, keep their order and
+        # weights; the others are sorted and summed
+        want = reference_load_edge_list(text)
+        calls = []
+        argsort = np.argsort
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        got = load_edge_list(text)
+        assert len(calls) == sorts
+        assert got.n == want.n
+        for a, b in ((got.u, want.u), (got.v, want.v), (got.w, want.w)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_self_loop_dropped_with_warning(self):
         with pytest.warns(UserWarning, match="1 self-loop"):
             g = load_edge_list(b"0 0 1\n0 1 1\n")
@@ -494,6 +517,85 @@ class TestEdgeListText:
         assert peak < 24 * 2**20
 
 
+def concatenated_matrix(graph):
+    """The former adjacency build: both triangles as one COO, which scipy
+    converts, sorts and sums."""
+    rows = np.concatenate([graph.u, graph.v])
+    cols = np.concatenate([graph.v, graph.u])
+    vals = np.concatenate([graph.w, graph.w])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(graph.n, graph.n))
+
+
+def assert_same_csr(got, want):
+    assert got.has_canonical_format == want.has_canonical_format
+    for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                 (got.data, want.data)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestMatrixMatchesConcatenated:
+    """matrix() is U + U' for the CSR U of the stored triangle, with the
+    bytes of the former build wherever that build's sums had an order."""
+
+    @pytest.mark.parametrize("weights", ["unit", "non-dyadic"])
+    def test_loader_graphs(self, weights):
+        planted, _ = planted_partition(300, 30, 0.6, 0.05, seed=4)
+        w = planted.w if weights == "unit" else np.arange(1, planted.edge_count + 1) * 0.1
+        g = SparseGraph(planted.n, planted.u, planted.v, w)
+        text = io.StringIO()
+        save_edge_list(g, text)
+        edges = zip(g.u.tolist(), g.v.tolist(), g.w.tolist())
+        lines = [f"{a + 1} {b + 1} {x!r}" for a, b, x in edges]
+        market = mm("%%MatrixMarket matrix coordinate real general\n"
+                    f"{g.n} {g.n} {len(lines)}\n" + "".join(f"{line}\n" for line in lines))
+        for graph in (g, load_edge_list(text.getvalue().encode()), load_matrix_market(market)):
+            assert_same_csr(graph.matrix(), concatenated_matrix(graph))
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_no_edges(self, n):
+        g = SparseGraph(n, [], [], [])
+        assert_same_csr(g.matrix(), concatenated_matrix(g))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_unsorted_edges_stored_three_times(self, seed):
+        # each edge three times with non-dyadic weights, in shuffled order.
+        # No vertex has more than 5 neighbours, so a row of the former
+        # build holds at most 15 entries: scipy's row sort (libstdc++'s
+        # introsort) keeps rows of up to 16 entries in stored order, and
+        # the former sums then ran in stored order as well
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 200))
+        degree, edges = np.zeros(n, dtype=int), set()
+        for p, q in rng.integers(0, n, (3 * n, 2)).tolist():
+            key = (min(p, q), max(p, q))
+            if p != q and key not in edges and degree[p] < 5 and degree[q] < 5:
+                edges.add(key)
+                degree[[p, q]] += 1
+        u, v = np.array(sorted(edges), dtype=np.intp).reshape(-1, 2).T.repeat(3, axis=1)
+        w = rng.integers(1, 1000, len(u)) * 0.1
+        order = rng.permutation(len(u))
+        g = SparseGraph(n, u[order], v[order], w[order])
+        assert_same_csr(g.matrix(), concatenated_matrix(g))
+
+    def test_repeated_edges_sum_in_stored_order(self):
+        # rows far past 16 entries, an edge stored up to a dozen times:
+        # its weights sum in stored order, the same bits at (u, v) and
+        # (v, u). The former build sorted such rows in no fixed order
+        rng = np.random.default_rng(5)
+        n = 30
+        a, b = rng.integers(0, n, (2, 3000))
+        keep = a != b
+        u, v = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
+        w = rng.integers(1, 1000, len(u)) * 0.1
+        M = SparseGraph(n, u, v, w).matrix()
+        want = np.zeros((n, n))
+        for p, q, x in zip(u.tolist(), v.tolist(), w.tolist()):
+            want[p, q] += x
+            want[q, p] += x
+        assert M.has_canonical_format
+        assert M.toarray().tobytes() == want.tobytes()
+
+
 def mm(text: str) -> bytes:
     return text.encode()
 
@@ -591,6 +693,28 @@ class TestMatrixMarketMatchesMerge:
         lines = [f"%%MatrixMarket matrix coordinate real {symmetry}", f"{n} {n} {m}"]
         lines += [f"{a} {b} {float(x)!r}" for a, b, x in zip(rows, cols, weights)]
         data = ("\n".join(lines) + "\n").encode()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # diagonal entries
+            got, want = load_matrix_market(data), merged_load_matrix_market(data)
+        assert got.n == want.n
+        for a, b in ((got.u, want.u), (got.v, want.v), (got.w, want.w)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("field,symmetry,entries", [
+        # (1, 2) three times: (0.1 + 0.2) + 0.7 is 1.0, (0.7 + 0.2) + 0.1 is not
+        ("real", "general", ["1 2 0.1", "3 2 0.7", "1 2 0.2", "2 1 0.3", "1 2 0.7",
+                             "3 3 0.5", "2 3 0.1"]),
+        ("real", "symmetric", ["2 1 0.1", "2 1 0.2", "3 1 0.3", "2 1 0.7", "3 3 0.5"]),
+        ("integer", "general", ["1 2 3", "2 1 4", "2 3 7", "3 1 5", "1 2 1", "1 3 -4"]),
+        ("integer", "symmetric", ["2 1 3", "3 1 5", "2 1 4", "3 2 1"]),
+        ("pattern", "general", ["1 2", "2 1", "3 1", "1 2", "2 3"]),
+        ("pattern", "symmetric", ["2 1", "3 1", "3 2", "3 1"]),
+        ("real", "skew-symmetric", ["2 1 0.5", "3 1 0.25", "3 2 -1.5"]),
+        ("integer", "skew-symmetric", ["2 1 2", "3 2 -7"]),
+    ])
+    def test_same_bytes_fields(self, field, symmetry, entries):
+        data = mm(f"%%MatrixMarket matrix coordinate {field} {symmetry}\n"
+                  f"3 3 {len(entries)}\n" + "".join(f"{line}\n" for line in entries))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # diagonal entries
             got, want = load_matrix_market(data), merged_load_matrix_market(data)

@@ -10,7 +10,8 @@ from dpcd import (AffinityProblem, DimensionError, DomainError, HashingProblem,
                   SparseGraph, binary_vector, constraint_check, exact_ones,
                   exhaustive_oracle, make_affinity_objective,
                   make_dense_subgraph, make_hashing_objective, make_quadratic,
-                  make_shifted_separable)
+                  make_shifted_separable, planted_partition)
+from dpcd import objectives
 from dpcd.objectives import _DENSE_GATHER_LIMIT
 
 from conftest import assert_gradient_matches, interior_points, random_quadratic
@@ -230,6 +231,24 @@ class TestDenseSubgraph:
     def test_name(self):
         f, _ = make_dense_subgraph(triangle(), 1)
         assert f.name == "dense-subgraph"
+
+    @pytest.mark.parametrize("n", [40, _DENSE_GATHER_LIMIT + 1])
+    def test_graph_matrix_taken_as_symmetric(self, n, monkeypatch):
+        # SparseGraph.matrix mirrors each edge exactly, so the objective
+        # skips make_quadratic's symmetry check (a transpose of W) and is
+        # the objective make_quadratic builds
+        g, _ = planted_partition(n, 10, 0.7, 10.0 / n, seed=n)
+        g = SparseGraph(n, g.u, g.v, np.arange(1, g.edge_count + 1) * 0.1)
+        want = make_quadratic(-g.matrix(), -2.0 * g.degrees())
+        monkeypatch.setattr(objectives, "_symmetrized", None)
+        f, _ = make_dense_subgraph(g, 10)
+        assert f.lipschitz == want.lipschitz
+        rng = np.random.default_rng(n)
+        x = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        flips = np.argsort(rng.random((50, n)), axis=1)[:, :4]
+        assert f.value(x) == want.value(x)
+        assert f.gradient(x).tobytes() == want.gradient(x).tobytes()
+        assert f.flips_delta(x, flips).tobytes() == want.flips_delta(x, flips).tobytes()
 
     def test_pair_table_memory_at_limit(self):
         # unit weights at the dense-gather limit: the int8 pair table (4 MiB)
