@@ -4,6 +4,7 @@ random search, and greedy peeling for the dense-subgraph task."""
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -34,7 +35,17 @@ from .core import (
     signs,
 )
 
+# rows per block of random_search's samples, also capped at BLOCK_ENTRIES
+# entries
 _CHUNK = 65536
+
+# feasible points per block of exhaustive_oracle: about 2 MiB of scratch
+# at n = 20, where blocks of 65536 took 25-32 MiB at n = 16-20. On one
+# BLAS thread, OpenBLAS rounds a quadratic's value of each row of a
+# block of 4096 or more rows as in a block of 65536, but some rows of a
+# block of 2048 or fewer differently from n = 17; so the last block
+# takes the remainder rather than run short
+_ORACLE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -88,16 +99,23 @@ def sgm_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
 
 
 def _feasible_blocks(n: int, c: ConstraintSpec):
-    # yields (m, n) blocks of sign vectors covering the feasible set once
+    """(m, n) blocks of sign vectors covering the feasible set once: the
+    slice's supports in the order of itertools.combinations, the cube's
+    points in binary counting order (bit i of the count is entry i).
+    m is _ORACLE_BLOCK, except that the last block also takes the
+    remainder (so holds fewer than twice that), and a feasible set smaller
+    than a block is one block."""
+    total = math.comb(n, c.r) if c.is_exact_ones else 1 << n
+    ends = [*range(_ORACLE_BLOCK, total - _ORACLE_BLOCK + 1, _ORACLE_BLOCK), total]
+    bounds = zip([0, *ends], ends)
     if c.is_exact_ones:
         combos = itertools.combinations(range(n), c.r)
-        for chunk in iter(lambda: list(itertools.islice(combos, _CHUNK)), []):
-            yield _sign_rows(np.array(chunk, dtype=np.intp), n)
+        for lo, hi in bounds:
+            yield _sign_rows(np.array(list(itertools.islice(combos, hi - lo)), dtype=np.intp), n)
     else:
-        total = 1 << n
         shifts = np.arange(n, dtype=np.uint64)
-        for start in range(0, total, _CHUNK):
-            idx = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
+        for lo, hi in bounds:
+            idx = np.arange(lo, hi, dtype=np.uint64)
             bits = (idx[:, None] >> shifts) & 1
             yield bits.astype(float) * 2.0 - 1.0
 
@@ -143,6 +161,9 @@ def exhaustive_oracle(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
     """Enumerate the feasible set; exact minimum plus both extremes.
 
     Refuses dimensions above `limit` (default 20) to keep runs bounded.
+    The points are scored in blocks of 4096 (_feasible_blocks), so the
+    scratch stays near 2 MiB at n = 20, on the cube and on the slice; of
+    equal minima the first point enumerated wins.
     """
     n = f.dimension
     if n > limit:

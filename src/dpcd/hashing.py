@@ -145,16 +145,21 @@ def alternating_hash(X: np.ndarray, Y: np.ndarray, r: int,
         W = solve_w(B, Y, lam)
         objective = make_hashing_objective(problem, W)
         step_cfg = replace(inner, seed=int(rng.integers(0, 2**31 - 1)))
-        report = dpcd_solve(objective, UNCONSTRAINED, step_cfg,
-                            initial_point=B.ravel())
+        # the stop check reads the round's start packed, so no name here
+        # holds the (n, r) start while the solve runs (B and the last
+        # round's report are dropped): the solve frees it once its first
+        # step moves
+        start = np.packbits(B > 0)
+        handed = [B.ravel()]
+        del B
+        report = dpcd_solve(objective, UNCONSTRAINED, step_cfg, initial_point=handed.pop())
         # the loss after the W half-step is the code step's starting value
         history.extend((report.value_trajectory[0], report.final_value))
-        B_next = np.asarray(report.final_point).reshape(n, r)
+        B = np.asarray(report.final_point).reshape(n, r)
+        del report
         completed = t + 1
-        if np.array_equal(B_next, B):
-            B = B_next
+        if np.array_equal(np.packbits(B > 0), start):
             break
-        B = B_next
     P = solve_projection(X, B)
     return HashModel(B=B, W=W, P=P, loss_history=tuple(history),
                      outer_iterations=completed)

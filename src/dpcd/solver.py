@@ -295,11 +295,21 @@ def _local_subsets(size: int, top: int) -> Iterator[np.ndarray]:
         yield rows
 
 
-def _exhaustive_blocks(pools: list, top: int) -> Iterator[np.ndarray]:
-    # every move of radius 1..top in blocks of _EVAL_CHUNK rows; a move is
-    # one j-subset per pool, ordered drop-major (the first pool varies
-    # slowest), and each pool's subsets are held as one array per radius
-    for per_pool in zip(*(_local_subsets(len(p), top) for p in pools)):
+def _exhaustive_blocks(pools: list, top: int,
+                       tables: Optional[dict] = None) -> Iterator[np.ndarray]:
+    """Every move of radius 1..top in blocks of _EVAL_CHUNK rows.
+
+    A move is one j-subset per pool, ordered drop-major (the first pool
+    varies slowest), and each pool's subsets are held as one array per
+    radius. tables, when given, keeps each pool size's subset tables
+    (_local_subsets) from one call to the next: dpcd_solve passes one dict
+    per solve, so its searches build them once, not once per search.
+    """
+    tables = {} if tables is None else tables
+    for p in pools:
+        if (len(p), top) not in tables:
+            tables[len(p), top] = tuple(_local_subsets(len(p), top))
+    for per_pool in zip(*(tables[len(p), top] for p in pools)):
         subsets = [p[rows] for p, rows in zip(pools, per_pool)]
         shape = [len(s) for s in subsets]
         total = math.prod(shape)
@@ -311,8 +321,8 @@ def _exhaustive_blocks(pools: list, top: int) -> Iterator[np.ndarray]:
 def enumerate_neighborhood(x: BinaryVector, c: ConstraintSpec, m: int) -> Iterator[BinaryVector]:
     """Yield every neighbor: points at Hamming distance <= m, or reachable
     by interchanging <= m (+1, -1) pairs when the +1 count is pinned.
-    Intended for small instances and tests: the index subsets of one radius
-    are built in full before its first neighbor is yielded."""
+    Intended for small instances and tests: the index subsets of every
+    radius are built in full before the first neighbor is yielded."""
     pools = _flip_pools(x, c)
     for block in _exhaustive_blocks(pools, min(m, *map(len, pools))):
         for flips in block:
@@ -349,21 +359,22 @@ def _sampled_blocks(pools: list, top: int, budget: int,
 
 
 def _explore_neighborhood(x, f: Objective, c: ConstraintSpec, m: int, budget: int,
-                          rng: np.random.Generator):
+                          rng: np.random.Generator, tables: Optional[dict] = None):
     """Returns (best_point, exhaustive_flag).
 
     best_point is x itself unless a strictly better neighbor was found; of
     equally good neighbors the first one explored wins. exhaustive_flag
     reports whether the whole neighborhood was enumerated, which is what
     allows a caller to treat "no improvement" as proof of local optimality.
-    A non-finite candidate delta raises NumericError.
+    A non-finite candidate delta raises NumericError. tables is passed on
+    to _exhaustive_blocks.
     """
     pools = _flip_pools(x, c)
     top = min(m, *map(len, pools))
     if top == 0:
         return x, True
     exhaustive = neighborhood_size(x, c, m) <= NEIGHBORHOOD_CAP
-    blocks = (_exhaustive_blocks(pools, top) if exhaustive
+    blocks = (_exhaustive_blocks(pools, top, tables) if exhaustive
               else _sampled_blocks(pools, top, budget, rng))
     flips, _, _, _ = _best_of_blocks(lambda rows: f.deltas(x, rows), blocks, 0.0)
     return (x if flips is None else _flipped(x, flips)), exhaustive
@@ -396,6 +407,12 @@ def dpcd_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
     immediately if the search was exhaustive or disabled, after
     neighborhood_patience consecutive fruitless sampled searches otherwise.
     callback, when given, receives every iterate after it is accepted.
+
+    The exhaustive searches of one solve share their subset tables (see
+    _exhaustive_blocks), which are dropped when it returns. The loop holds
+    one iterate and one gradient at a time: the previous ones, and the
+    caller's initial_point once the first step replaces it, are released
+    before the next iterate is evaluated.
     """
     cfg = cfg or SolverConfig()
     started = time.perf_counter()
@@ -405,6 +422,8 @@ def dpcd_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
 
     rng = np.random.default_rng(cfg.seed)
     x = _start_point(f, c, initial_point, rng)
+    initial_point = None
+    tables = {}
     # g is the gradient at x when value_gradient gave it along with the
     # value, else None until the iteration asks f.gradient; positive is
     # x > 0 when the cube step wrote it, else None until asked
@@ -436,17 +455,15 @@ def dpcd_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
         moved = principal_flips
         exhaustive = False
         if cadence > 0 and (k % cadence == 0 or principal_flips == 0):
-            stepped = x_next
             x_next, exhaustive = _explore_neighborhood(
-                x_next, f, c, cfg.neighborhood_radius, cfg.neighborhood_budget, rng)
+                x_next, f, c, cfg.neighborhood_radius, cfg.neighborhood_budget, rng, tables)
             moved = hamming_distance(x, x_next)
-            if x_next is not stepped:
-                # the search replaced the iterate the mask describes
-                positive = None
+            # the search may have replaced the iterate the mask describes
+            positive = None
         flips_per_iteration.append(moved)
-        value, g = _checked_value(f, x_next, k)
+        x, g = x_next, None
+        value, g = _checked_value(f, x, k)
         trajectory.append(value)
-        x = x_next
         if callback is not None:
             callback(x)
 

@@ -1,4 +1,6 @@
 """Shared fixtures and oracles for the test suite."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -42,6 +44,17 @@ def assert_gradient_matches(obj: Objective, points, rel=1e-5, absolute=1e-8):
         bad = (err > rel * scale) & (err > absolute)
         assert not bad.any(), (
             f"gradient mismatch at {p}: analytic {got[bad]} vs fd {want[bad]}")
+
+
+def peak_bytes(fn, *args):
+    """The tracemalloc peak, in bytes, of fn(*args): what the call
+    allocates on top of its arguments, at most."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def interior_points(n, count, seed):

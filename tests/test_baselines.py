@@ -2,7 +2,9 @@
 import dataclasses
 import itertools
 import math
-import tracemalloc
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,8 +19,63 @@ from dpcd import (DimensionError, DomainError, NumericError, SolverConfig, Spars
 
 from dpcd import baselines
 from dpcd.baselines import _feasible_blocks, _sampled_blocks
+from dpcd.core import _sign_rows
 
-from conftest import random_quadratic
+from conftest import peak_bytes, random_quadratic
+
+
+def blocks_of_65536(n, c):
+    """_feasible_blocks as it was before the oracle's blocks shrank: the
+    same points in the same order, 65536 to a block, the last one short."""
+    if c.is_exact_ones:
+        combos = itertools.combinations(range(n), c.r)
+        for chunk in iter(lambda: list(itertools.islice(combos, 65536)), []):
+            yield _sign_rows(np.array(chunk, dtype=np.intp), n)
+    else:
+        total = 1 << n
+        shifts = np.arange(n, dtype=np.uint64)
+        for start in range(0, total, 65536):
+            idx = np.arange(start, min(start + 65536, total), dtype=np.uint64)
+            yield ((idx[:, None] >> shifts) & 1).astype(float) * 2.0 - 1.0
+
+
+def oracle_fields(res):
+    return res.f_min, res.f_max, res.evaluations, res.optimum.tobytes()
+
+
+def check_oracle_bits():
+    """The oracle's bits against blocks_of_65536 (run on one BLAS thread).
+
+    Every point's value has the bits it had in a 65536-point block: the
+    BLAS products behind f.values round a row of a block of 4096 or more
+    rows as in a block of 65536, but a row of a short block not (C(20, 14)
+    = 38760 would end in 1896 rows). Checked on the cube at n = 16, 17 and
+    20, on every slice at n = 17, and at n = 20 on a slice of one block
+    (r = 3), one that once filled one short block (r = 14) and ones that
+    once spanned two (r = 8) and three (r = 10). Random quadratics at
+    n = 15-20 keep their oracle fields.
+    """
+    cases = [(16, [UNCONSTRAINED]),
+             (17, [UNCONSTRAINED, *map(exact_ones, range(18))]),
+             (20, [UNCONSTRAINED, *map(exact_ones, (3, 8, 10, 14))])]
+    for n, constraints in cases:
+        f = random_quadratic(n, n)
+        for c in constraints:
+            got = np.concatenate([f.values(X) for X in _feasible_blocks(n, c)])
+            want = np.concatenate([f.values(X) for X in blocks_of_65536(n, c)])
+            assert got.tobytes() == want.tobytes(), (n, c)
+    rng = np.random.default_rng(0)
+    for n in (15, 18, 19, 20):
+        for seed in range(2):
+            f = random_quadratic(n, 100 * n + seed)
+            for c in (UNCONSTRAINED, exact_ones(int(rng.integers(1, n)))):
+                got = oracle_fields(exhaustive_oracle(f, c))
+                baselines._feasible_blocks = blocks_of_65536
+                try:
+                    want = oracle_fields(exhaustive_oracle(f, c))
+                finally:
+                    baselines._feasible_blocks = _feasible_blocks
+                assert got == want, (n, c)
 
 
 def reference_peel(graph, k):
@@ -177,13 +234,36 @@ class TestExhaustiveOracle:
 
     @pytest.mark.parametrize("n,r", [(6, 0), (6, 1), (6, 6), (20, 10)])
     def test_slice_blocks_match_combinations(self, n, r):
-        # C(20, 10) = 184756 rows span three blocks
+        # C(20, 10) = 184756 rows span 45 blocks: 44 of 4096 rows, and a
+        # last one of 4532 that takes the remainder
         want = -np.ones((math.comb(n, r), n))
         for row, support in enumerate(itertools.combinations(range(n), r)):
             want[row, list(support)] = 1.0
         blocks = list(_feasible_blocks(n, exact_ones(r)))
-        assert len(blocks) == math.ceil(len(want) / 65536)
+        assert len(blocks) == max(1, len(want) // 4096)
+        assert all(len(b) < 2 * 4096 for b in blocks)
         assert np.array_equal(np.concatenate(blocks), want)
+
+    def test_bits_match_65536_row_blocks(self):
+        # one BLAS thread, as perfbench runs: threaded, OpenBLAS splits a
+        # block's X @ c over its threads at row counts that depend on the
+        # block's, so a row near a split could round differently with
+        # either blocking (with 65536-row blocks, random_quadratic(20, 20)
+        # on C(20, 8) rounds row 125968 otherwise on one and two threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        paths = [os.path.dirname(os.path.dirname(baselines.__file__)), os.path.dirname(__file__)]
+        script = (f"import sys; sys.path[:0] = {paths!r}; "
+                  "import test_baselines; test_baselines.check_oracle_bits()")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=240)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("n,c", [(16, UNCONSTRAINED), (20, exact_ones(10))])
+    def test_peak_memory_follows_block(self, n, c):
+        # one block of 65536 points held 25.5 MiB of scratch at n = 16 and
+        # 29.8 MiB on the C(20, 10) slice; 4096 points take under 2 MiB
+        assert peak_bytes(exhaustive_oracle, random_quadratic(n, 1), c) < 4 * 2**20
 
     def test_limit_refusal(self):
         f = random_quadratic(21, 0)
@@ -333,12 +413,7 @@ class TestRandomSearch:
         n, samples = 5000, 4000
         f = make_shifted_separable(np.random.default_rng(3).uniform(0.1, 0.9, n))
         for c in (UNCONSTRAINED, exact_ones(n // 2)):
-            tracemalloc.start()
-            try:
-                random_search(f, c, samples=samples, seed=0)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = peak_bytes(random_search, f, c, samples)
             # at most about three block-sized arrays of 4M entries each (the
             # slice holds its (m, r) index draws, a 1-byte (m, n) membership
             # table, then the expanded sign rows), while one (samples, n)

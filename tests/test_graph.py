@@ -1,6 +1,5 @@
 """Graph ingestion, generation, serialization, and the density metric."""
 import io
-import tracemalloc
 import warnings
 from unittest import mock
 
@@ -15,6 +14,8 @@ from dpcd import (DomainError, ParseError, SparseGraph, density,
                   load_edge_list, load_matrix_market, make_dense_subgraph,
                   planted_partition, save_edge_list)
 from dpcd import graph as graph_mod
+
+from conftest import peak_bytes
 
 
 class TestSparseGraph:
@@ -503,14 +504,9 @@ class TestEdgeListText:
         edges = 200_000
         u, v = rng.integers(0, 20000, (2, edges)).tolist()
         data = "".join(f"{a} {b}\n" for a, b in zip(u, v)).encode()
-        tracemalloc.start()
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # a few self loops
-                load_edge_list(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a few self loops
+            peak = peak_bytes(load_edge_list, data)
         # the merge's sort and the graph take about 80 bytes an edge (16 MB
         # here) and one block's scratch a few MB more; a parser that holds
         # every line and every field of the 2 MB file at once needs 39 MB

@@ -1,6 +1,5 @@
 """Objective constructors: values, gradients, helper hooks, conversions."""
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from dpcd import (AffinityProblem, DimensionError, DomainError, HashingProblem,
 from dpcd import objectives
 from dpcd.objectives import _DENSE_GATHER_LIMIT
 
-from conftest import assert_gradient_matches, interior_points, random_quadratic
+from conftest import assert_gradient_matches, interior_points, peak_bytes, random_quadratic
 
 
 def brute_flip_delta(f, x, flips):
@@ -259,12 +258,7 @@ class TestDenseSubgraph:
         a, b = rng.integers(0, n, 20 * n), rng.integers(0, n, 20 * n)
         key = np.unique(np.minimum(a, b)[a != b] * n + np.maximum(a, b)[a != b])
         g = SparseGraph(n, key // n, key % n, np.ones(len(key)))
-        tracemalloc.start()
-        try:
-            make_dense_subgraph(g, 40)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(make_dense_subgraph, g, 40)
         assert n * n <= peak < 8 * (1 << 20)
 
 

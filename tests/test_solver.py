@@ -21,9 +21,10 @@ from dpcd import (GRADIENT_AVERAGE, LIPSCHITZ, AffinityProblem, BoundUnavailable
                   unconstrained_flip)
 
 from dpcd import hashing, solver
-from dpcd.solver import _distinct_rows
+from dpcd.hashing import solve_w
+from dpcd.solver import _distinct_rows, _exhaustive_blocks
 
-from conftest import random_quadratic
+from conftest import peak_bytes, random_quadratic
 
 
 class TestThresholds:
@@ -335,6 +336,69 @@ class TestCandidateScan:
         f = make_quadratic(np.zeros((6, 6)), np.array([0.0, 1.0, 0.0, 3.0, 3.0, 2.0]), 0.0)
         y = neighborhood_search(np.ones(6), f, UNCONSTRAINED, 1)
         assert y.tolist() == [1, 1, 1, -1, 1, 1]
+
+
+class TestSubsetTables:
+    @pytest.mark.parametrize("c,builds", [
+        (UNCONSTRAINED, [(12, 5)]),
+        (exact_ones(4), [(4, 4), (8, 4)]),
+        (exact_ones(6), [(6, 5)]),
+    ])
+    def test_built_once_per_solve(self, monkeypatch, c, builds):
+        # one build per pool size and radius per solve, however many
+        # exhaustive searches it runs; equal pools share theirs
+        made, searches = [], []
+        build, explore = solver._local_subsets, solver._explore_neighborhood
+
+        def counted_build(size, top):
+            made.append((size, top))
+            return build(size, top)
+
+        def counted_explore(*args):
+            searches.append(args)
+            return explore(*args)
+
+        monkeypatch.setattr(solver, "_local_subsets", counted_build)
+        monkeypatch.setattr(solver, "_explore_neighborhood", counted_explore)
+        for seed in range(3):
+            made.clear()
+            searches.clear()
+            dpcd_solve(random_quadratic(12, seed), c,
+                       SolverConfig(neighborhood_cadence=1, seed=seed))
+            assert sorted(made) == builds
+            assert len(searches) >= 2
+
+    def test_blocks_same_with_and_without_tables(self, monkeypatch):
+        # seven-row blocks, so every radius spans several; the second pass
+        # reads the tables the first one built
+        monkeypatch.setattr(solver, "_EVAL_CHUNK", 7)
+        tables = {}
+        cases = [([np.array([0, 3, 5, 8]), np.array([1, 2, 4, 6, 7, 9])], 3),
+                 ([np.arange(10)], 4)]
+        for _ in range(2):
+            for pools, top in cases:
+                want = list(_exhaustive_blocks(pools, top))
+                got = list(_exhaustive_blocks(pools, top, tables))
+                assert len(got) == len(want) > 2
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert sorted(tables) == [(4, 3), (6, 3), (10, 4)]
+
+
+class TestSolveMemory:
+    @pytest.mark.parametrize("mode", [LIPSCHITZ, GRADIENT_AVERAGE])
+    def test_code_solve_holds_one_iterate_and_gradient(self, mode):
+        # n * r = 400k entries, so an iterate or a gradient is 3.05 MiB.
+        # Holding the previous iterate and gradient while the next is
+        # evaluated peaked at 4.44 of those; one of each peaks at 3.63
+        # (Lipschitz thresholds) and 3.91 (average thresholds)
+        rng = np.random.default_rng(3)
+        n, r = 12500, 32
+        Y = np.eye(10)[rng.integers(0, 10, n)]
+        B = np.where(rng.random((n, r)) < 0.5, 1.0, -1.0)
+        f = make_hashing_objective(HashingProblem(Y=Y, lam=1.0, r=r), solve_w(B, Y, 1.0))
+        cfg = dataclasses.replace(hashing.CODE_STEP, threshold_policy=ThresholdPolicy(mode=mode))
+        peak = peak_bytes(dpcd_solve, f, UNCONSTRAINED, cfg, B.ravel())
+        assert peak < 4.2 * n * r * 8
 
 
 class TestDistinctRows:
