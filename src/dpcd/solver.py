@@ -274,7 +274,11 @@ def _flip_pools(x: BinaryVector, c: ConstraintSpec) -> list:
 
 def neighborhood_size(x: BinaryVector, c: ConstraintSpec, m: int) -> int:
     """Exact neighbor count (the point itself excluded)."""
-    pools = _flip_pools(x, c)
+    return _pool_moves(_flip_pools(x, c), m)
+
+
+def _pool_moves(pools: list, m: int) -> int:
+    # moves of radius 1..m taking j entries from each pool
     return sum(math.prod(math.comb(len(p), j) for p in pools)
                for j in range(1, min(m, *map(len, pools)) + 1))
 
@@ -282,47 +286,69 @@ def neighborhood_size(x: BinaryVector, c: ConstraintSpec, m: int) -> int:
 def _local_subsets(size: int, top: int) -> Iterator[np.ndarray]:
     # the j-subsets of range(size) as rows, for j = 1..top, each in the
     # lexicographic order of itertools.combinations: a radius-j row is a
-    # radius-(j-1) row extended, in order, by every larger index
-    rows = np.arange(size, dtype=np.intp)[:, None]
+    # radius-(j-1) row extended, in order, by every larger index. Rows are
+    # held in the narrowest unsigned dtype that takes index size - 1 (one
+    # byte up to 256 entries); the offsets are computed in intp
+    dtype = np.min_scalar_type(max(size - 1, 0))
+    rows = np.arange(size, dtype=dtype)[:, None]
     for j in range(1, top + 1):
         if j > 1:
-            last = rows[:, -1]
+            last = rows[:, -1].astype(np.intp)
             counts = size - 1 - last
             ends = np.cumsum(counts)
-            # row i's children append last_i + 1, ..., size - 1 in turn
-            extra = np.arange(ends[-1]) + np.repeat(last + 1 - (ends - counts), counts)
-            rows = np.concatenate([np.repeat(rows, counts, axis=0), extra[:, None]], axis=1)
+            # row i's children append last_i + 1, ..., size - 1 in turn;
+            # summed in place, since this build is a search's memory peak
+            extra = np.repeat(last + 1 - (ends - counts), counts)
+            extra += np.arange(ends[-1])
+            grown = np.empty((ends[-1], j), dtype=dtype)
+            grown[:, :-1] = np.repeat(rows, counts, axis=0)
+            grown[:, -1] = extra
+            rows = grown
         yield rows
 
 
 def _exhaustive_blocks(pools: list, top: int,
                        tables: Optional[dict] = None) -> Iterator[np.ndarray]:
-    """Every move of radius 1..top in blocks of _EVAL_CHUNK rows.
+    """Every move of radius 1..top in blocks of _EVAL_CHUNK rows, as intp.
 
     A move is one j-subset per pool, ordered drop-major (the first pool
-    varies slowest), and each pool's subsets are held as one array per
-    radius. tables, when given, keeps each pool size's subset tables
-    (_local_subsets) from one call to the next: dpcd_solve passes one dict
-    per solve, so its searches build them once, not once per search.
+    varies slowest). Each pool size's subsets of one radius are one table
+    of positions in the pool (_local_subsets), one byte per entry up to
+    256 pool entries; the rows are gathered through the pools one block at
+    a time, so no radius is held as indices in full.
+    tables, when given, keeps the tables from one call to the next:
+    dpcd_solve passes one dict per solve, so its searches build them once,
+    not once per search.
     """
     tables = {} if tables is None else tables
     for p in pools:
         if (len(p), top) not in tables:
             tables[len(p), top] = tuple(_local_subsets(len(p), top))
+    # the cube's pool is every coordinate (_flip_pools): its positions are
+    # the moves, and a block is a run of its table widened
+    direct = len(pools) == 1 and np.array_equal(pools[0], np.arange(len(pools[0])))
     for per_pool in zip(*(tables[len(p), top] for p in pools)):
-        subsets = [p[rows] for p, rows in zip(pools, per_pool)]
-        shape = [len(s) for s in subsets]
+        shape = [len(rows) for rows in per_pool]
         total = math.prod(shape)
         for lo in range(0, total, _EVAL_CHUNK):
-            picks = np.unravel_index(np.arange(lo, min(lo + _EVAL_CHUNK, total)), shape)
-            yield np.concatenate([s[i] for s, i in zip(subsets, picks)], axis=1)
+            hi = min(lo + _EVAL_CHUNK, total)
+            if direct:
+                yield per_pool[0][lo:hi].astype(np.intp)
+            else:
+                # take, not fancy indexing: a row gather with take runs
+                # about twice as fast
+                picks = np.unravel_index(np.arange(lo, hi), shape)
+                yield np.concatenate([p.take(rows.take(i, axis=0))
+                                      for p, rows, i in zip(pools, per_pool, picks)], axis=1)
 
 
 def enumerate_neighborhood(x: BinaryVector, c: ConstraintSpec, m: int) -> Iterator[BinaryVector]:
     """Yield every neighbor: points at Hamming distance <= m, or reachable
     by interchanging <= m (+1, -1) pairs when the +1 count is pinned.
-    Intended for small instances and tests: the index subsets of every
-    radius are built in full before the first neighbor is yielded."""
+    Intended for small instances and tests: the subset tables of every
+    radius (_exhaustive_blocks, one byte per entry up to 256 pool
+    entries) are built in full before the first neighbor is yielded, and
+    the index rows are gathered one block at a time."""
     pools = _flip_pools(x, c)
     for block in _exhaustive_blocks(pools, min(m, *map(len, pools))):
         for flips in block:
@@ -373,7 +399,7 @@ def _explore_neighborhood(x, f: Objective, c: ConstraintSpec, m: int, budget: in
     top = min(m, *map(len, pools))
     if top == 0:
         return x, True
-    exhaustive = neighborhood_size(x, c, m) <= NEIGHBORHOOD_CAP
+    exhaustive = _pool_moves(pools, m) <= NEIGHBORHOOD_CAP
     blocks = (_exhaustive_blocks(pools, top, tables) if exhaustive
               else _sampled_blocks(pools, top, budget, rng))
     flips, _, _, _ = _best_of_blocks(lambda rows: f.deltas(x, rows), blocks, 0.0)

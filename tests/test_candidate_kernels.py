@@ -735,3 +735,27 @@ class TestExhaustiveBlocks:
         assert sum(map(len, blocks)) == rows
         widths = [b.shape[1] for b in blocks]
         assert widths == sorted(widths)
+
+    @pytest.mark.parametrize("size", [255, 256, 257])
+    @pytest.mark.parametrize("layout", ["cube", "permuted", "pair"])
+    def test_table_dtype_switch(self, size, layout):
+        # tables take one byte per entry up to 256 pool entries and two
+        # past it; the blocks are intp either way, gathered block by block
+        # through the cube's pool (every coordinate), a permuted pool, or
+        # a pair of pools
+        rng = np.random.default_rng(size)
+        if layout == "cube":
+            pools = [np.arange(size)]
+        elif layout == "permuted":
+            pools = [rng.permutation(size)]
+        else:
+            pools = np.split(rng.permutation(size + 3), [size])
+        tables = {}
+        blocks = list(_exhaustive_blocks(pools, 2, tables))
+        assert tables[size, 2][0].dtype == (np.uint8 if size <= 256 else np.uint16)
+        assert all(b.dtype == np.intp and b.flags.c_contiguous for b in blocks)
+        assert all(0 < len(b) <= _EVAL_CHUNK for b in blocks)
+        for j in (1, 2):
+            width = j * len(pools)
+            got = np.concatenate([b for b in blocks if b.shape[1] == width])
+            assert np.array_equal(got, reference_moves(pools, j)), j

@@ -385,6 +385,15 @@ class TestSubsetTables:
 
 
 class TestSolveMemory:
+    def test_exhaustive_search_gathers_block_by_block(self):
+        # 83,681 candidates at n = 26, radius 5: one-byte subset tables
+        # and one block of index rows at a time peak at about 1.6 MiB;
+        # intp tables with each radius gathered whole peaked at 6.8 MiB
+        f = random_quadratic(26, 1)
+        x = np.where(np.random.default_rng(0).random(26) < 0.5, 1.0, -1.0)
+        assert neighborhood_size(x, UNCONSTRAINED, 5) == 83_681
+        assert peak_bytes(neighborhood_search, x, f, UNCONSTRAINED, 5) < 4 * 2**20
+
     @pytest.mark.parametrize("mode", [LIPSCHITZ, GRADIENT_AVERAGE])
     def test_code_solve_holds_one_iterate_and_gradient(self, mode):
         # n * r = 400k entries, so an iterate or a gradient is 3.05 MiB.
