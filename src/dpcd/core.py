@@ -207,10 +207,19 @@ def binary_vector(values) -> BinaryVector:
     x = np.array(values, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise DomainError("binary vector must be one-dimensional and non-empty")
-    if not np.all(np.abs(x) == 1.0):
+    if not _is_sign_array(x):
         raise DomainError("binary vector entries must be -1 or +1")
     x.flags.writeable = False
     return x
+
+
+def _is_sign_array(a: np.ndarray) -> bool:
+    """Whether every entry of a equals -1 or +1 exactly (NaN, +-inf and
+    -0.0 do not). Tested through two bool masks of a's shape, a quarter
+    of the float64 copy np.abs(a) would take."""
+    ones = np.equal(a, 1.0)
+    ones |= np.equal(a, -1.0)
+    return bool(ones.all())
 
 
 def hamming_distance(y: BinaryVector, z: BinaryVector) -> int:
@@ -237,7 +246,7 @@ def feasible_point(x, n: int, c: ConstraintSpec, what: str = "point") -> np.ndar
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise DimensionError(f"{what} length does not match the objective")
-    if not np.all(np.abs(x) == 1.0):
+    if not _is_sign_array(x):
         raise DomainError(f"{what} must be a sign vector")
     if not constraint_check(x, c):
         raise DomainError(f"{what} violates the constraint")
@@ -297,11 +306,11 @@ def _report(x, trajectory: list, flips: list, converged: bool, started: float,
     )
 
 
-def _sign_vector(positive: np.ndarray) -> BinaryVector:
+def _sign_vector(positive: np.ndarray, out: Optional[np.ndarray] = None) -> BinaryVector:
     """Read-only float vector, +1 where positive is set (True or 1) and
-    -1 elsewhere: 2*positive - 1, formed in place in one new array."""
-    x = positive.astype(float)
-    x *= 2.0
+    -1 elsewhere: 2*positive - 1, formed in place in out when given (a
+    float array of positive's length), else in one new array."""
+    x = np.multiply(positive, 2.0, out=out)
     x -= 1.0
     x.flags.writeable = False
     return x

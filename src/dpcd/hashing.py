@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -23,6 +24,7 @@ from .core import (
     NumericError,
     ParseError,
     UNCONSTRAINED,
+    _is_sign_array,
     _map_spans,
     check_seed,
     signs,
@@ -133,7 +135,7 @@ def alternating_hash(X: np.ndarray, Y: np.ndarray, r: int,
         B = np.asarray(initial_codes, dtype=float)
         if B.shape != (n, r):
             raise DimensionError(f"initial codes are {B.shape}, expected ({n}, {r})")
-        if not np.all(np.abs(B) == 1.0):
+        if not _is_sign_array(B):
             raise DomainError("initial codes must be sign matrices")
     if inner is None:
         inner = CODE_STEP
@@ -180,7 +182,7 @@ def evaluate_retrieval(query_codes, db_codes, query_labels, db_labels,
     D = np.asarray(db_codes, dtype=float)
     if Q.ndim != 2 or D.ndim != 2 or Q.shape[1] != D.shape[1]:
         raise DimensionError("query and database codes must share the code length")
-    if not (np.all(np.abs(Q) == 1.0) and np.all(np.abs(D) == 1.0)):
+    if not (_is_sign_array(Q) and _is_sign_array(D)):
         raise DomainError("query and database codes must be sign matrices")
     nq, r = Q.shape
     nd = D.shape[0]
@@ -274,6 +276,9 @@ def save_matrix_binary(path, M: np.ndarray) -> None:
 
 
 def load_matrix_binary(path) -> np.ndarray:
+    """The matrix in a save_matrix_binary container. The payload is read
+    once, straight into the returned array, after its size is checked
+    against the file's."""
     with open(path, "rb") as fh:
         header = fh.read(len(_MAGIC))
         if header != _MAGIC:
@@ -282,11 +287,15 @@ def load_matrix_binary(path) -> np.ndarray:
         if len(dims) != 16:
             raise ParseError("truncated header")
         rows, cols = struct.unpack("<QQ", dims)
-        payload = fh.read()
-    expected = rows * cols * 8
-    if len(payload) != expected:
-        raise ParseError(f"payload holds {len(payload)} bytes, expected {expected}")
-    M = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+        expected = rows * cols * 8
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != expected:
+            raise ParseError(f"payload holds {size} bytes, expected {expected}")
+        M = np.empty((rows, cols), dtype="<f8")
+        got = fh.readinto(M)
+    if got != expected:
+        # the file shrank after its size was read
+        raise ParseError(f"payload holds {got} bytes, expected {expected}")
     bad = np.flatnonzero(~np.isfinite(M).all(axis=1))
     if bad.size:
         raise ParseError(f"row {bad[0]} (from 0): non-finite entry")

@@ -34,10 +34,10 @@ from .core import (
     _gradient,
     _map_spans,
     _report,
+    _sign_vector,
     _start_point,
     check_seed,
     feasible_point,
-    hamming_distance,
 )
 
 LIPSCHITZ = "lipschitz"
@@ -133,9 +133,17 @@ def derive_thresholds(gradient, policy: ThresholdPolicy, lipschitz: Optional[flo
     return thresholds
 
 
-def _thresholds(g: np.ndarray, policy: ThresholdPolicy, lipschitz: Optional[float]):
+def _thresholds(g: np.ndarray, policy: ThresholdPolicy, lipschitz: Optional[float],
+                scratch: Optional[np.ndarray] = None):
     """derive_thresholds on a float gradient, or None when an entry of g is
-    not finite; g is scanned span by span (core._map_spans)."""
+    not finite; g is scanned span by span (core._map_spans).
+
+    Average thresholds gather g's positive entries, then its negative ones,
+    in index order into one float array of len(g) entries: scratch when
+    given (dpcd_solve's, which _cube_step then overwrites with the next
+    iterate, or the balanced step its sign vector), else a new one. Its
+    contents on return are unspecified.
+    """
     average = policy.mode == GRADIENT_AVERAGE
     # the sign masks are allocated here and filled by the spans: arrays
     # a span thread allocates and leaves alive would stay in its own
@@ -162,16 +170,15 @@ def _thresholds(g: np.ndarray, policy: ThresholdPolicy, lipschitz: Optional[floa
             raise DomainError("lipschitz threshold policy needs the objective's L0")
         level = lipschitz + effective_epsilon(policy, lipschitz)
         return level, level
-    if len(found) == 1:
-        # one span, scanned inline: nothing to place
-        return _side_means(np.compress(sides[0], g), np.compress(sides[1], g))
-    # each span gathers its entries of each sign at its offset in one
-    # buffer per sign, so a side's mean sums the array g[g > 0] (or
+    if scratch is None:
+        scratch = np.empty(len(g))
+    # each span gathers its entries of each sign at its offset in its
+    # side's part of scratch, the positive entries first and the negative
+    # ones after them, so a side's mean sums the array g[g > 0] (or
     # g[g < 0]) would be, in one call
     counts = np.array([span[1:] for span in found])
     ends = np.cumsum(counts, axis=0)
-    pos = np.empty(ends[-1, 0])
-    neg = np.empty(ends[-1, 1])
+    pos, neg = np.split(scratch[:ends[-1].sum()], [ends[-1, 0]])
     at = {span[0]: start for span, start in zip(found, ends - counts)}
 
     def gather(lo, hi):
@@ -181,6 +188,9 @@ def _thresholds(g: np.ndarray, policy: ThresholdPolicy, lipschitz: Optional[floa
             # flatnonzero's indices are in range: mode="clip" skips the
             # bounds check and the buffered out= copy of the default mode
             part.take(idx, out=buffer[start:start + len(idx)], mode="clip")
+            # one side's indices at a time: on one span they are up to
+            # half a gradient of intp
+            del idx
 
     _map_spans(gather, len(g))
     return _side_means(pos, neg)
@@ -206,13 +216,15 @@ def _principal_masks(positive: np.ndarray, g: np.ndarray, l1, l2,
     return plus, minus
 
 
-def _cube_step(positive: np.ndarray, g: np.ndarray, l1, l2, alpha1: float, alpha2: float):
+def _cube_step(positive: np.ndarray, g: np.ndarray, l1, l2, alpha1: float, alpha2: float,
+               out: np.ndarray):
     """(next iterate, its +1 mask, flip count) of the cube step from the
     sign vector whose +1 entries positive marks: every entry of s_plus and
-    s_minus flips. Runs span by span (core._map_spans); the iterate is
-    read-only, as _sign_vector makes it."""
+    s_minus flips. Runs span by span (core._map_spans). The iterate is
+    written into out, a float array of len(g) entries (the scratch
+    _thresholds gathered into), and returned read-only, as _sign_vector
+    makes it."""
     n = len(g)
-    x_next = np.empty(n)
     after = np.empty(n, dtype=bool)
 
     def flip(lo, hi):
@@ -222,13 +234,13 @@ def _cube_step(positive: np.ndarray, g: np.ndarray, l1, l2, alpha1: float, alpha
         # disjoint; flipping their union toggles it in the +1 mask
         plus |= minus
         now = np.not_equal(was, plus, out=after[lo:hi])
-        x = np.multiply(now, 2.0, out=x_next[lo:hi])
+        x = np.multiply(now, 2.0, out=out[lo:hi])
         x -= 1.0
         return np.count_nonzero(plus)
 
     flips = sum(_map_spans(flip, n))
-    x_next.flags.writeable = False
-    return x_next, after, flips
+    out.flags.writeable = False
+    return out, after, flips
 
 
 def principal_sets(x: BinaryVector, gradient, l1, l2, alpha1: float, alpha2: float) -> PrincipalSets:
@@ -255,11 +267,17 @@ def balanced_flip(x: BinaryVector, gradient, sets: PrincipalSets) -> BinaryVecto
     Flipping equally many +1 and -1 entries keeps the +1 count fixed, so a
     feasible x stays feasible.
     """
-    m = min(len(sets.s_plus), len(sets.s_minus))
-    if m == 0:
+    if min(len(sets.s_plus), len(sets.s_minus)) == 0:
         return x
-    return _flipped(x, np.concatenate([_top_by_magnitude(gradient, sets.s_plus, m),
-                                       _top_by_magnitude(gradient, sets.s_minus, m)]))
+    return _flipped(x, _balanced_indices(gradient, sets))
+
+
+def _balanced_indices(gradient, sets: PrincipalSets) -> np.ndarray:
+    """The entries balanced_flip flips: the m steepest of s_plus, then the
+    m steepest of s_minus, m = min of the set sizes."""
+    m = min(len(sets.s_plus), len(sets.s_minus))
+    return np.concatenate([_top_by_magnitude(gradient, sets.s_plus, m),
+                           _top_by_magnitude(gradient, sets.s_minus, m)])
 
 
 def _flip_pools(x: BinaryVector, c: ConstraintSpec) -> list:
@@ -436,9 +454,12 @@ def dpcd_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
 
     The exhaustive searches of one solve share their subset tables (see
     _exhaustive_blocks), which are dropped when it returns. The loop holds
-    one iterate and one gradient at a time: the previous ones, and the
-    caller's initial_point once the first step replaces it, are released
-    before the next iterate is evaluated.
+    one iterate and one gradient at a time: once an iterate's gradient is
+    taken, only its +1 mask stands for it (the float iterate, the caller's
+    initial_point included, is released), and the step's one new float
+    array is the scratch _thresholds gathers into, which becomes the next
+    iterate. The gradient is released before the next iterate is
+    evaluated.
     """
     cfg = cfg or SolverConfig()
     started = time.perf_counter()
@@ -452,7 +473,7 @@ def dpcd_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
     tables = {}
     # g is the gradient at x when value_gradient gave it along with the
     # value, else None until the iteration asks f.gradient; positive is
-    # x > 0 when the cube step wrote it, else None until asked
+    # x > 0 when the step wrote it, else None until asked
     value, g = _checked_value(f, x, 0)
     positive = None
     trajectory = [value]
@@ -463,31 +484,37 @@ def dpcd_solve(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
 
     for k in range(1, cfg.max_iterations + 1):
         g = _gradient(f, x, k, g)
-        thresholds = _thresholds(g, policy, f.lipschitz)
-        if thresholds is None:
-            raise NumericError(f"non-finite gradient at iteration {k}")
         if positive is None:
             positive = x > 0
+        # from here on the mask stands for the iterate
+        x = None
+        scratch = np.empty(len(g))
+        thresholds = _thresholds(g, policy, f.lipschitz, scratch)
+        if thresholds is None:
+            raise NumericError(f"non-finite gradient at iteration {k}")
         if c.is_exact_ones:
             plus, minus = _principal_masks(positive, g, *thresholds, cfg.alpha1, cfg.alpha2)
             sets = PrincipalSets(np.flatnonzero(plus), np.flatnonzero(minus))
-            x_next = balanced_flip(x, g, sets)
+            after = positive.copy()
+            after[_balanced_indices(g, sets)] ^= True
+            x = _sign_vector(after, scratch)
             principal_flips = 2 * min(len(sets.s_plus), len(sets.s_minus))
-            positive = None
         else:
-            x_next, positive, principal_flips = _cube_step(
-                positive, g, *thresholds, cfg.alpha1, cfg.alpha2)
+            x, after, principal_flips = _cube_step(
+                positive, g, *thresholds, cfg.alpha1, cfg.alpha2, scratch)
+        scratch = None
 
         moved = principal_flips
         exhaustive = False
         if cadence > 0 and (k % cadence == 0 or principal_flips == 0):
-            x_next, exhaustive = _explore_neighborhood(
-                x_next, f, c, cfg.neighborhood_radius, cfg.neighborhood_budget, rng, tables)
-            moved = hamming_distance(x, x_next)
-            # the search may have replaced the iterate the mask describes
-            positive = None
+            x, exhaustive = _explore_neighborhood(
+                x, f, c, cfg.neighborhood_radius, cfg.neighborhood_budget, rng, tables)
+            # positive still marks the iterate the step started from; the
+            # search may have replaced the one after describes
+            moved = int(np.count_nonzero(positive != (x > 0)))
+            after = None
         flips_per_iteration.append(moved)
-        x, g = x_next, None
+        positive, g = after, None
         value, g = _checked_value(f, x, k)
         trajectory.append(value)
         if callback is not None:

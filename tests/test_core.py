@@ -9,7 +9,10 @@ import dpcd
 from dpcd import (DimensionError, DomainError, NumericError, UNCONSTRAINED,
                   binary_vector, constraint_check, exact_ones,
                   hamming_distance, random_feasible, sign, signs)
-from dpcd.core import _best_of_blocks, _flipped, _sign_vector, feasible_point
+from dpcd.core import (_best_of_blocks, _flipped, _is_sign_array, _sign_vector,
+                       feasible_point)
+
+from conftest import peak_bytes
 
 
 class TestSign:
@@ -257,3 +260,21 @@ def test_sign_vector(positive):
     x = _sign_vector(positive)
     assert x.tolist() == [1.0, -1.0, 1.0] and x.dtype == float
     assert not x.flags.writeable
+
+
+@pytest.mark.parametrize("entry,sign_entry", [
+    (1.0, True), (-1.0, True), (1, True), (0.0, False), (-0.0, False), (0.5, False),
+    (-2.0, False), (np.nan, False), (np.inf, False), (-np.inf, False),
+])
+def test_sign_array_rule(entry, sign_entry):
+    # the same answer as the float test it replaces, |a| == 1 everywhere
+    a = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    a[1, 0] = entry
+    assert _is_sign_array(a) is sign_entry
+    assert _is_sign_array(a) == bool(np.all(np.abs(a) == 1.0))
+
+
+def test_sign_array_rule_allocates_no_float_copy():
+    a = np.where(np.random.default_rng(2).random(1 << 16) < 0.5, 1.0, -1.0)
+    assert peak_bytes(_is_sign_array, a) < a.nbytes / 2
+    assert peak_bytes(feasible_point, a, len(a), UNCONSTRAINED) < a.nbytes / 2

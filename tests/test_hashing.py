@@ -7,6 +7,8 @@ from dpcd import (DimensionError, DomainError, NumericError, ParseError,
                   load_matrix, load_matrix_binary, load_matrix_csv,
                   save_matrix_binary, signs, solve_projection, solve_w)
 
+from conftest import peak_bytes
+
 
 class TestSolveW:
     def test_hand_case(self):
@@ -240,7 +242,7 @@ class TestEvaluateRetrieval:
         assert score.map == 0.5
         assert score.precision_at_k == 0.0
 
-    @pytest.mark.parametrize("bad", [0.5, 0.0, -2.0])
+    @pytest.mark.parametrize("bad", [0.5, 0.0, -2.0, -0.0, np.nan, np.inf])
     def test_rejects_codes_that_are_not_signs(self, bad):
         codes = np.ones((3, 4))
         codes[1, 2] = bad
@@ -334,6 +336,17 @@ class TestEvaluateRetrieval:
         assert (score.map, score.precision_at_k) == want
 
 
+def test_retrieval_sign_check_allocates_no_float_copy(rng):
+    # a 50000 x 32 database is 12.2 MiB of float64; the sign test took a
+    # float copy of it (13.7 MiB peak with 20 queries), two bool masks
+    # take a quarter of that (3.1 MiB)
+    db = signs(rng.standard_normal((50_000, 32)))
+    q = signs(rng.standard_normal((20, 32)))
+    labels = rng.integers(0, 10, 50_000)
+    peak = peak_bytes(evaluate_retrieval, q, db, labels[:20], labels, 100)
+    assert peak < db.nbytes / 2
+
+
 @pytest.mark.usefixtures("threaded_spans")
 class TestEvaluateRetrievalThreaded(TestEvaluateRetrieval):
     """TestEvaluateRetrieval again, on spans of 16 entries over two or more
@@ -361,6 +374,37 @@ class TestMatrixFiles:
         p.write_bytes(data[:-8])
         with pytest.raises(ParseError, match="payload"):
             load_matrix_binary(p)
+
+    @pytest.mark.parametrize("cut,message", [
+        (-8, "^payload holds 120 bytes, expected 128$"),
+        (8, "^payload holds 136 bytes, expected 128$"),
+        (-128, "^payload holds 0 bytes, expected 128$"),
+        (-129, "^truncated header$"),
+    ], ids=["short", "long", "empty", "header"])
+    def test_binary_size_faults(self, tmp_path, rng, cut, message):
+        p = tmp_path / "m.mat"
+        save_matrix_binary(p, rng.standard_normal((4, 4)))
+        data = p.read_bytes()
+        p.write_bytes(data[:cut] if cut < 0 else data + bytes(cut))
+        with pytest.raises(ParseError, match=message):
+            load_matrix_binary(p)
+
+    def test_binary_header_larger_than_file(self, tmp_path):
+        # the sizes are compared before anything is allocated
+        p = tmp_path / "m.mat"
+        p.write_bytes(b"DPCDMAT1" + (2**40).to_bytes(8, "little") * 2)
+        with pytest.raises(ParseError, match="^payload holds 0 bytes, expected"):
+            load_matrix_binary(p)
+
+    def test_binary_payload_read_once(self, tmp_path, rng):
+        # reading the payload into bytes and copying it out peaked at 2.1
+        # payloads (26.0 MiB for this 12.2 MiB file); reading it into the
+        # returned array adds only the finiteness mask
+        M = rng.standard_normal((50_000, 32))
+        p = tmp_path / "train.bin"
+        save_matrix_binary(p, M)
+        assert peak_bytes(load_matrix_binary, p) < 1.25 * M.nbytes
+        assert np.array_equal(load_matrix_binary(p), M)
 
     def test_csv_with_and_without_header(self, tmp_path):
         plain = tmp_path / "a.csv"

@@ -20,7 +20,7 @@ from dpcd import (GRADIENT_AVERAGE, LIPSCHITZ, AffinityProblem, BoundUnavailable
                   random_feasible, random_search, sgm_solve, step_bound,
                   unconstrained_flip)
 
-from dpcd import hashing, solver
+from dpcd import core, hashing, solver
 from dpcd.hashing import solve_w
 from dpcd.solver import _distinct_rows, _exhaustive_blocks
 
@@ -394,20 +394,34 @@ class TestSolveMemory:
         assert neighborhood_size(x, UNCONSTRAINED, 5) == 83_681
         assert peak_bytes(neighborhood_search, x, f, UNCONSTRAINED, 5) < 4 * 2**20
 
-    @pytest.mark.parametrize("mode", [LIPSCHITZ, GRADIENT_AVERAGE])
-    def test_code_solve_holds_one_iterate_and_gradient(self, mode):
-        # n * r = 400k entries, so an iterate or a gradient is 3.05 MiB.
-        # Holding the previous iterate and gradient while the next is
-        # evaluated peaked at 4.44 of those; one of each peaks at 3.63
-        # (Lipschitz thresholds) and 3.91 (average thresholds)
+    @staticmethod
+    def code_solve_peak(mode, n, r=32):
+        """The tracemalloc peak of a cadence-0 code solve over n x r codes,
+        in iterates of n * r floats."""
         rng = np.random.default_rng(3)
-        n, r = 12500, 32
         Y = np.eye(10)[rng.integers(0, 10, n)]
         B = np.where(rng.random((n, r)) < 0.5, 1.0, -1.0)
         f = make_hashing_objective(HashingProblem(Y=Y, lam=1.0, r=r), solve_w(B, Y, 1.0))
         cfg = dataclasses.replace(hashing.CODE_STEP, threshold_policy=ThresholdPolicy(mode=mode))
-        peak = peak_bytes(dpcd_solve, f, UNCONSTRAINED, cfg, B.ravel())
-        assert peak < 4.2 * n * r * 8
+        return peak_bytes(dpcd_solve, f, UNCONSTRAINED, cfg, B.ravel()) / (n * r * 8)
+
+    @pytest.mark.parametrize("mode", [LIPSCHITZ, GRADIENT_AVERAGE])
+    def test_code_solve_holds_one_iterate_and_gradient(self, mode):
+        # n * r = 400k entries, one span, so an iterate or a gradient is
+        # 3.05 MiB. Holding the last float iterate through the step, and
+        # new arrays for the threshold gathers, peaked at 3.63 (Lipschitz
+        # thresholds) and 3.86 (average thresholds) of those. The mask
+        # standing for the iterate, and the gathers' scratch reused as the
+        # next iterate, peak at 2.63 and 2.89
+        assert 400_000 < 2 * core.SPAN_ENTRIES
+        assert self.code_solve_peak(mode, 12500) < 3.0
+
+    @pytest.mark.parametrize("mode", [LIPSCHITZ, GRADIENT_AVERAGE])
+    def test_code_solve_on_two_spans_holds_one_iterate_and_gradient(self, mode):
+        # n * r = 640k entries, two spans: 3.59 and 4.07 iterates before,
+        # 2.59 and 2.91 now
+        assert 640_000 >= 2 * core.SPAN_ENTRIES
+        assert self.code_solve_peak(mode, 20000) < 3.0
 
 
 class TestDistinctRows:
@@ -534,6 +548,26 @@ class TestSolveLoop:
         if mode == GRADIENT_AVERAGE:
             # the first step moves, so the counts are not all trivially 0
             assert steps[0] > 0
+
+    @pytest.mark.parametrize("c", [UNCONSTRAINED, exact_ones(7)], ids=["cube", "slice"])
+    @pytest.mark.parametrize("policy", [ThresholdPolicy(epsilon=1e9),
+                                        ThresholdPolicy(mode=GRADIENT_AVERAGE)],
+                             ids=["search-only", "average"])
+    def test_search_moves_count_hamming_steps(self, c, policy):
+        # a search every iteration, exhaustive at n = 14: its moves are
+        # counted from the +1 masks of the iterates before the step and
+        # after the search. With thresholds far above the gradient the
+        # principal step flips nothing, so every move is the search's
+        f = random_quadratic(14, 6)
+        x0 = random_feasible(14, c, 1)
+        seen = [x0]
+        cfg = SolverConfig(seed=3, max_iterations=30, neighborhood_cadence=1,
+                           threshold_policy=policy)
+        rep = dpcd_solve(f, c, cfg, initial_point=x0, callback=seen.append)
+        assert len(seen) == rep.iterations + 1
+        steps = tuple(hamming_distance(a, b) for a, b in zip(seen, seen[1:]))
+        assert rep.flips_per_iteration == steps
+        assert steps[0] > 0 and steps[-1] == 0 and rep.converged
 
     def test_exact_ones_iterates_feasible(self):
         c = exact_ones(7)

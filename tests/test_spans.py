@@ -45,9 +45,13 @@ def cube_step(n, seed):
     positive = rng.random(n) < 0.5
 
     def step():
-        l1, l2 = _thresholds(g, AVERAGE, None)
+        # as in dpcd_solve: the thresholds gather into the scratch the
+        # step then writes the iterate into
+        scratch = np.empty(n)
+        l1, l2 = _thresholds(g, AVERAGE, None, scratch)
         assert l1 == float(g[g > 0].mean()) and l2 == float(-g[g < 0].mean())
-        x, after, flips = _cube_step(positive, g, l1, l2, 1.0, 1.0)
+        x, after, flips = _cube_step(positive, g, l1, l2, 1.0, 1.0, scratch)
+        assert x is scratch
         return l1, l2, x.tobytes(), after.tobytes(), flips
 
     return step
