@@ -106,8 +106,10 @@ def _feasible_blocks(n: int, c: ConstraintSpec):
     remainder (so holds fewer than twice that), and a feasible set smaller
     than a block is one block."""
     total = math.comb(n, c.r) if c.is_exact_ones else 1 << n
-    ends = [*range(_ORACLE_BLOCK, total - _ORACLE_BLOCK + 1, _ORACLE_BLOCK), total]
-    bounds = zip([0, *ends], ends)
+    # bounds made as the blocks are, so that a feasible set too large to
+    # enumerate is refused by its caller, not by the memory its list takes
+    starts = range(0, max(total - _ORACLE_BLOCK + 1, 1), _ORACLE_BLOCK)
+    bounds = ((lo, total if lo == starts[-1] else lo + _ORACLE_BLOCK) for lo in starts)
     if c.is_exact_ones:
         combos = itertools.combinations(range(n), c.r)
         for lo, hi in bounds:
@@ -160,7 +162,8 @@ def exhaustive_oracle(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
                       limit: int = 20) -> OracleResult:
     """Enumerate the feasible set; exact minimum plus both extremes.
 
-    Refuses dimensions above `limit` (default 20) to keep runs bounded.
+    Refuses dimensions above `limit` (default 20) to keep runs bounded,
+    and a cube of 64 or more dimensions, whose points a uint64 cannot count.
     The points are scored in blocks of 4096 (_feasible_blocks), so the
     scratch stays near 2 MiB at n = 20, on the cube and on the slice; of
     equal minima the first point enumerated wins.
@@ -168,6 +171,9 @@ def exhaustive_oracle(f: Objective, c: ConstraintSpec = UNCONSTRAINED,
     n = f.dimension
     if n > limit:
         raise DomainError(f"exhaustive search refused: dimension {n} exceeds limit {limit}")
+    if n >= 64 and not c.is_exact_ones:
+        raise DomainError(f"exhaustive search refused: the 2^{n} points of the cube "
+                          "overflow its uint64 counter")
     check_feasible(n, c)
     best_x, best, worst, count = _best_of_blocks(f.values, _feasible_blocks(n, c))
     return OracleResult(best_x, best, best, worst, count)

@@ -94,8 +94,8 @@ def _read_all(source) -> bytes:
     return data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
 
 
-# edge-list text is parsed in line-aligned blocks of about this many bytes,
-# so the parse's scratch memory does not grow with the file
+# edge-list and CSV text is parsed in line-aligned blocks of about this
+# many bytes, so the parse's scratch memory does not grow with the file
 _BLOCK_BYTES = 1 << 18
 
 
@@ -251,14 +251,12 @@ def load_edge_list(source) -> SparseGraph:
     n * n fits in int64. Duplicate edges sum their weights, and self loops
     are dropped with a warning.
 
-    The text is read in line-aligned blocks. numpy's C reader takes a
-    block of ASCII numbers whose lines all have 2 fields or all 3 (see
-    _read_numeric); a Python line loop, which states every rule above,
-    reads every other block and the lines of a block up to its last
-    comment line. The loop is the slow path: a file that mixes 2- and
-    3-field lines, or is not ASCII, parses about 1.5x slower than with
-    the former numpy tokenizer, while plain, weighted and CRLF files
-    parse about 2x faster.
+    The text is read in line-aligned blocks. numpy's C reader takes or
+    refuses a whole block: it takes ASCII numbers whose lines all have 2
+    fields or all 3 (see _read_numeric). A Python line loop, which states
+    every rule above, reads every other block and the lines of a block up
+    to its last comment line. The loop is the slow path: a file whose 2-
+    and 3-field lines alternate parses about 3x slower than a plain one.
     """
     declared, edges, loops, first_line = None, [], 0, 1
     for block in _blocks(_read_all(source)):

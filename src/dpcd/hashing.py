@@ -29,6 +29,7 @@ from .core import (
     check_seed,
     signs,
 )
+from .graph import _NUMERIC, _blocks, _read_all
 from .objectives import HashingProblem, make_hashing_objective
 from .solver import SolverConfig, dpcd_solve
 
@@ -302,63 +303,63 @@ def load_matrix_binary(path) -> np.ndarray:
     return M
 
 
-def _undecodable_line(path) -> int:
-    # the line of a file's first byte that is not UTF-8, numbered as text
-    # mode reads lines (newline=None: universal newlines)
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _read_csv_lines(block: bytes, first_line: int, width):
+    """(rows, width, line count) of whole lines from line first_line on;
+    width is None before the first non-blank line, which is a header if
+    not numeric, and 0 after a header. This loop states every CSV rule."""
     try:
-        data.decode("utf-8")
+        text = block.decode("utf-8")
     except UnicodeDecodeError as e:
-        data = data[:e.start]
-    return len(io.StringIO(data.decode("utf-8") + "x", newline=None).readlines())
+        *before, bad = io.StringIO(block[:e.start].decode(), newline=None).read().split("\n")
+        _read_csv_lines(block[:e.start - len(bad.encode())], first_line, width)  # earlier faults
+        raise ParseError(f"line {first_line + len(before)}: not UTF-8 text ({e.reason})") from None
+    rows, lines = [], io.StringIO(text, newline=None).read().split("\n")  # "\r\n", lone "\r"
+    for number, line in enumerate(map(str.strip, lines), start=first_line):
+        if not line:
+            continue
+        try:
+            row = [float(field) for field in line.split(",")]
+        except ValueError:
+            if width is None:  # the header
+                width = 0
+                continue
+            raise ParseError(f"line {number}: non-numeric field") from None
+        width = width or len(row)
+        if len(row) != width:
+            raise ParseError(f"line {number}: expected {width} columns, got {len(row)}")
+        if not all(map(math.isfinite, row)):
+            raise ParseError(f"line {number}: non-finite field")
+        rows.append(row)
+    return rows, width, len(lines) - 1
+
+
+def _read_csv_numeric(block: bytes, width):
+    # numpy's C reader takes ASCII numbers of the width, all finite, or None
+    if not block.strip() or block.translate(None, _NUMERIC + b","):
+        return None
+    try:
+        rows = np.loadtxt(io.BytesIO(block), delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # a ragged row, a field float() refuses, a lone "\r"
+        return None
+    if rows.shape[1] == (width or rows.shape[1]) and np.isfinite(rows).all():
+        return rows, rows.shape[1], block.count(b"\n")
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    """Comma-separated numeric rows; a single leading header line is
-    tolerated and skipped. A field is any spelling float() accepts."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as e:
-        raise ParseError(
-            f"line {_undecodable_line(path)}: not UTF-8 text ({e.reason})") from None
-    # text mode has turned every line break into "\n"; blank lines are
-    # skipped but keep their place in the numbering
-    lines = [(i, line) for i, line in enumerate(map(str.strip, text.split("\n")), start=1)
-             if line]
-    if not lines:
-        raise ParseError("empty matrix file")
-    start = 0
-    try:
-        [float(tok) for tok in lines[0][1].split(",")]
-    except ValueError:
-        start = 1
-        if len(lines) == 1:
-            raise ParseError("matrix file holds only a header")
-    body = lines[start:]
-    width = body[0][1].count(",") + 1
-    fields = ",".join(line for _, line in body).split(",")
-    # numpy converts a str field as float() does, every spelling alike
-    # (1_0, Infinity, non-ASCII digits); only a faulty file is scanned
-    # line by line, for the first line to name
-    try:
-        if any(line.count(",") != width - 1 for _, line in body):
-            raise ValueError("ragged rows")
-        M = np.array(fields, dtype=float).reshape(len(body), width)
-    except ValueError:
-        for i, line in body:
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError:
-                raise ParseError(f"line {i}: non-numeric field") from None
-            if len(row) != width:
-                raise ParseError(f"line {i}: expected {width} columns, got {len(row)}") from None
-        raise
-    bad = np.flatnonzero(~np.isfinite(M).all(axis=1))
-    if bad.size:
-        raise ParseError(f"line {body[bad[0]][0]}: non-finite field")
-    return M
+    """Comma-separated numeric rows of UTF-8 text; one leading header line
+    is skipped. A field is any spelling float() accepts."""
+    chunks, width, first_line = [], None, 1
+    for block in _blocks(_read_all(path)):
+        # the first non-blank line apart, so a header leaves its block to numpy
+        cut = len(block) - len(block.lstrip().partition(b"\n")[2]) if width is None else 0
+        for part in (block[:cut], block[cut:]):
+            rows, width, lines = (_read_csv_numeric(part, width)
+                                  or _read_csv_lines(part, first_line, width))
+            chunks.append(rows)
+            first_line += lines
+    if not width:
+        raise ParseError("empty matrix file" if width is None else "matrix file holds only a header")
+    return np.concatenate([rows for rows in chunks if len(rows)])
 
 
 def load_matrix(path) -> np.ndarray:

@@ -273,6 +273,24 @@ class TestExhaustiveOracle:
         res = exhaustive_oracle(f24, exact_ones(1), limit=24)
         assert res.evaluations == 24
 
+    def test_cube_of_64_dimensions_refused(self):
+        # a uint64 counter cannot count its 2^64 points; the list of every
+        # block's bounds once ran out of memory first
+        with pytest.raises(DomainError, match=r"2\^64 points of the cube"):
+            exhaustive_oracle(random_quadratic(64, 0), limit=64)
+
+    @pytest.mark.parametrize("n,c", [(63, UNCONSTRAINED), (64, exact_ones(32))],
+                             ids=["cube", "slice"])
+    def test_first_block_comes_before_the_last_bound(self, n, c):
+        # 2^51 and about 4.5e14 blocks: their bounds are made as they go
+        if c.is_exact_ones:
+            supports = itertools.islice(itertools.combinations(range(n), c.r), 4096)
+            want = _sign_rows(np.array(list(supports), dtype=np.intp), n)
+        else:
+            want = -np.ones((4096, n))
+            want[:, :12] = ((np.arange(4096)[:, None] >> np.arange(12)) & 1) * 2.0 - 1.0
+        assert np.array_equal(next(_feasible_blocks(n, c)), want)
+
     def test_constrained_optimum_feasible(self):
         f = random_quadratic(8, 9)
         res = exhaustive_oracle(f, exact_ones(3))

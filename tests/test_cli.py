@@ -631,6 +631,14 @@ class TestOracle:
         assert proc.returncode == 2
         assert b"limit" in proc.stderr
 
+    def test_refuses_cube_of_64_dimensions(self, capsys):
+        # this used to end in a MemoryError traceback (exit 1)
+        assert cli.main(["oracle", "--n", "64", "--limit", "64"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "2^64 points" in err
+
     def test_separable_needs_n(self):
         proc = run_cli("oracle", "--separable")
         assert proc.returncode == 2

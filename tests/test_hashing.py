@@ -1,11 +1,20 @@
 """Hashing driver, closed-form solves, retrieval metrics, matrix files."""
+import io
+import itertools
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dpcd import (DimensionError, DomainError, NumericError, ParseError,
                   alternating_hash, encode, evaluate_retrieval,
                   load_matrix, load_matrix_binary, load_matrix_csv,
                   save_matrix_binary, signs, solve_projection, solve_w)
+from dpcd import graph as graph_mod
+from dpcd import hashing
 
 from conftest import peak_bytes
 
@@ -501,3 +510,337 @@ class TestMatrixFiles:
         p.write_text("")
         with pytest.raises(ParseError):
             load_matrix_csv(p)
+
+
+def _undecodable_line(path) -> int:
+    # the line of a file's first byte that is not UTF-8, numbered as text
+    # mode reads lines (newline=None: universal newlines)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        data = data[:e.start]
+    return len(io.StringIO(data.decode("utf-8") + "x", newline=None).readlines())
+
+
+def reference_load_matrix_csv(path) -> np.ndarray:
+    """The whole-text CSV reader that the block reader replaced: the oracle
+    of the property tests. It names a UTF-8 fault before any other, and a
+    non-finite field only after every line has the width."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(
+            f"line {_undecodable_line(path)}: not UTF-8 text ({e.reason})") from None
+    # text mode has turned every line break into "\n"; blank lines are
+    # skipped but keep their place in the numbering
+    lines = [(i, line) for i, line in enumerate(map(str.strip, text.split("\n")), start=1)
+             if line]
+    if not lines:
+        raise ParseError("empty matrix file")
+    start = 0
+    try:
+        [float(tok) for tok in lines[0][1].split(",")]
+    except ValueError:
+        start = 1
+        if len(lines) == 1:
+            raise ParseError("matrix file holds only a header")
+    body = lines[start:]
+    width = body[0][1].count(",") + 1
+    fields = ",".join(line for _, line in body).split(",")
+    try:
+        if any(line.count(",") != width - 1 for _, line in body):
+            raise ValueError("ragged rows")
+        M = np.array(fields, dtype=float).reshape(len(body), width)
+    except ValueError:
+        for i, line in body:
+            try:
+                row = [float(tok) for tok in line.split(",")]
+            except ValueError:
+                raise ParseError(f"line {i}: non-numeric field") from None
+            if len(row) != width:
+                raise ParseError(f"line {i}: expected {width} columns, got {len(row)}") from None
+        raise
+    bad = np.flatnonzero(~np.isfinite(M).all(axis=1))
+    if bad.size:
+        raise ParseError(f"line {body[bad[0]][0]}: non-finite field")
+    return M
+
+
+def csv_outcome(load, path):
+    """The matrix's dtype, shape, layout and bytes, or the ParseError's
+    text."""
+    try:
+        M = load(path)
+    except ParseError as e:
+        return ParseError, str(e)
+    return M.dtype, M.shape, M.flags.c_contiguous, M.tobytes()
+
+
+# every spelling of test_csv_spellings_float_accepts, and repr floats as
+# perfbench writes them
+CSV_FIELD = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-20, 20).map(str),
+    st.sampled_from(["1_0", "\u0661\u0662", " +3 ", ".5", "-2.5e-3", "\uff17",
+                     "\u00a04\u00a0", "1E2", "0", "-0", "6.", "7_000.000_1"]))
+CSV_PAD = st.lists(st.sampled_from([" ", "\t"]), max_size=2).map("".join)
+CSV_BLANK = st.sampled_from(["", " ", "\t ", "\u3000"]).map(str.encode)
+CSV_HEADER = st.sampled_from(["x,y", "label", "f0,f1,f2", "a,,b", "1,x", "e", "\ufeff1"])
+CSV_BREAK = st.sampled_from([b"\n", b"\r\n", b"\r"])
+# the faults of one line: a field float() refuses, a value that is not
+# finite, a byte that is not UTF-8 (a stray, a cut sequence, a surrogate)
+CSV_NON_FINITE = st.sampled_from(["inf", "nan", "-Infinity", "1e999", "-1E400"])
+CSV_BAD_BYTES = st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"])
+
+
+@st.composite
+def csv_row(draw, width):
+    return ",".join(draw(CSV_PAD) + draw(CSV_FIELD) + draw(CSV_PAD)
+                    for _ in range(width)).encode()
+
+
+@st.composite
+def csv_fault(draw, width):
+    """A line that is faulty after a row of the width: ragged, with an
+    empty field (a width-1 line of one is blank), non-finite or not
+    UTF-8."""
+    kinds = ["ragged", "non-finite", "not-utf8"] + (["empty"] if width > 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "ragged":
+        return draw(csv_row(draw(st.sampled_from([width + 1, width + 2, width - 1 or 3]))))
+    fields = draw(csv_row(width)).split(b",")
+    at = draw(st.integers(0, width - 1))
+    if kind == "empty":
+        fields[at] = draw(CSV_PAD).encode()
+    elif kind == "non-finite":
+        fields[at] = (draw(CSV_PAD) + draw(CSV_NON_FINITE)).encode()
+    else:
+        fields[at] += draw(CSV_BAD_BYTES)
+    return b",".join(fields)
+
+
+@st.composite
+def csv_file(draw, faults=0, anywhere=True):
+    """(lines, indices of the faulty lines, breaks): breaks[i] follows
+    lines[i], and the last break may be b"". The faults go anywhere after
+    the header (a ragged first row makes the rows after it faulty), or,
+    with anywhere=False, after the first row, where the width is settled
+    and each fault is a fault of its own line only."""
+    width = draw(st.integers(1, 4))
+    row = csv_row(width)
+    header = [draw(CSV_HEADER).encode()] if draw(st.booleans()) else []
+    head = header + draw(st.lists(CSV_BLANK, max_size=2)) + ([] if anywhere else [draw(row)])
+    lines = head + draw(st.lists(st.one_of(row, row, CSV_BLANK), max_size=10))
+    at = []
+    for _ in range(faults):
+        index = draw(st.integers(len(header if anywhere else head), len(lines)))
+        at = [i + (i >= index) for i in at] + [index]
+        lines.insert(index, draw(csv_fault(width)))
+    breaks = [draw(CSV_BREAK) for _ in lines[1:]] + [draw(CSV_BREAK | st.just(b""))]
+    return lines, sorted(at), breaks
+
+
+def join_lines(lines, breaks):
+    return b"".join(line + brk for line, brk in zip(lines, breaks))
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "m.csv"
+
+
+BLOCK_BYTES = st.sampled_from([3, 16, 64, 1 << 18])
+
+
+class TestMatrixCsvMatchesReference:
+    """The block reader against the former whole-text reader. Small
+    patched block sizes put block boundaries everywhere in these files."""
+
+    def load(self, path, data, block):
+        path.write_bytes(data)
+        with mock.patch.object(graph_mod, "_BLOCK_BYTES", block):
+            return csv_outcome(load_matrix_csv, path)
+
+    @given(csv_file(), BLOCK_BYTES)
+    def test_well_formed(self, csv_path, drawn, block):
+        lines, _, breaks = drawn
+        got = self.load(csv_path, join_lines(lines, breaks), block)
+        assert got == csv_outcome(reference_load_matrix_csv, csv_path)
+
+    @given(csv_file(faults=1), BLOCK_BYTES)
+    def test_one_fault(self, csv_path, drawn, block):
+        lines, _, breaks = drawn
+        got = self.load(csv_path, join_lines(lines, breaks), block)
+        assert got == csv_outcome(reference_load_matrix_csv, csv_path)
+
+    @given(csv_file(faults=3, anywhere=False), BLOCK_BYTES)
+    def test_first_of_several_faults(self, csv_path, drawn, block):
+        # the former reader named a UTF-8 fault before any other, and a
+        # non-finite field after every other fault; with the faults after
+        # the first blanked, it names the first faulty line
+        lines, at, breaks = drawn
+        got = self.load(csv_path, join_lines(lines, breaks), block)
+        for i in at[1:]:
+            lines[i] = b""
+        csv_path.write_bytes(join_lines(lines, breaks))
+        assert got == csv_outcome(reference_load_matrix_csv, csv_path)
+
+
+def csv_reads(path, data):
+    """load_matrix_csv's outcome on a file of data, and the non-empty
+    parts of it that numpy's reader took and that the line loop was
+    given."""
+    seen = {"numpy": [], "loop": []}
+    read_numeric, read_lines = hashing._read_csv_numeric, hashing._read_csv_lines
+
+    def numeric(part, width):
+        rows = read_numeric(part, width)
+        if part and rows is not None:
+            seen["numpy"].append(part)
+        return rows
+
+    def lines(part, first_line, width):
+        if part:
+            seen["loop"].append(part)
+        return read_lines(part, first_line, width)
+
+    path.write_bytes(data)
+    with mock.patch.object(hashing, "_read_csv_numeric", numeric), \
+            mock.patch.object(hashing, "_read_csv_lines", lines):
+        return csv_outcome(load_matrix_csv, path), seen
+
+
+def numpy_agrees_with_float(tokens):
+    """Each token between commas: numpy's reader takes the line when
+    float() takes the token to a finite value, with the same bits, and
+    refuses it otherwise; np.loadtxt reads an overflow as float() does."""
+    finite, refused = [], []
+    for tok in tokens:
+        try:
+            value = float(tok)
+        except ValueError:
+            refused.append(tok)
+            continue
+        if math.isfinite(value):
+            finite.append((tok, value))
+        else:
+            line = b"0," + tok.encode() + b",0\n"
+            assert hashing._read_csv_numeric(line, 3) is None, tok
+            read = np.loadtxt(io.BytesIO(line), delimiter=",", comments=None, ndmin=2)
+            assert read[0, 1] == value, tok
+    block = b"".join(b"0," + tok.encode() + b",0\n" for tok, _ in finite)
+    rows, width, lines = hashing._read_csv_numeric(block, 3)
+    assert (width, lines) == (3, len(finite))
+    assert rows[:, 1].tobytes() == np.array([value for _, value in finite]).tobytes()
+    for tok in refused:
+        assert hashing._read_csv_numeric(b"0," + tok.encode() + b",0\n", 3) is None, repr(tok)
+    return len(finite), len(refused)
+
+
+class TestMatrixCsvBlocks:
+    @pytest.mark.parametrize("data,numpy_reads,loop_reads", [
+        (b"1,2\n3,4\n", [b"1,2\n", b"3,4\n"], []),
+        (b"x,y\n1,2\n3,4\n", [b"1,2\n3,4\n"], [b"x,y\n"]),
+        (b"\n x,y\r\n1,\t2\r\n\r\n3 ,4", [b"1,\t2\r\n\r\n3 ,4"], [b"\n x,y\r\n"]),
+        (b"e\n1\n-2.5E-3\n", [b"1\n-2.5E-3\n"], [b"e\n"]),
+        (b"x,y\n1,2\r3,4\n", [], [b"x,y\n", b"1,2\r3,4\n"]),
+        (b"x,y\n1,2\n \n3,4\n", [], [b"x,y\n", b"1,2\n \n3,4\n"]),
+        (b"x\n1_0\n2\n", [], [b"x\n", b"1_0\n2\n"]),
+        (b"x,y\n1,2\x0b\n", [], [b"x,y\n", b"1,2\x0b\n"]),
+        (b"x,y\n1,\xc2\xa02\n", [], [b"x,y\n", b"1,\xc2\xa02\n"]),
+        (b"x,y\n1,2\n3\n", [], [b"x,y\n", b"1,2\n3\n"]),
+        (b"x,y\n1,2\n3,1e999\n", [], [b"x,y\n", b"1,2\n3,1e999\n"]),
+        (b"x,y\n1,2\n3,4,\n", [], [b"x,y\n", b"1,2\n3,4,\n"]),
+    ], ids=["plain", "header", "crlf-blank-padding", "header-e", "lone-cr", "space-line",
+            "underscore", "vertical-tab", "nbsp", "ragged", "overflow", "trailing-comma"])
+    def test_blocks_numpy_reads_and_the_loop_reads(self, tmp_path, data, numpy_reads,
+                                                   loop_reads):
+        # numpy's reader takes only what it reads as the loop does; the
+        # first non-blank line is read on its own, so that a header sends
+        # it alone to the loop and leaves the rest of its block to numpy
+        path = tmp_path / "m.csv"
+        got, seen = csv_reads(path, data)
+        assert got == csv_outcome(reference_load_matrix_csv, path)
+        assert seen == {"numpy": numpy_reads, "loop": loop_reads}
+
+    def test_overflow_is_refused_and_named_by_the_loop(self, tmp_path):
+        # numpy reads 1e999 as inf, as float() does; the finiteness check
+        # refuses the block, and the line loop names its line
+        block = b"1,2\n3,1e999\n5,6\n"
+        read = np.loadtxt(io.BytesIO(block), delimiter=",", comments=None, ndmin=2)
+        assert read[1, 1] == np.inf
+        assert hashing._read_csv_numeric(block, 2) is None
+        got, seen = csv_reads(tmp_path / "m.csv", b"x,y\n" + block)
+        assert got == (ParseError, "line 3: non-finite field")
+        assert seen == {"numpy": [], "loop": [b"x,y\n", block]}
+
+    @pytest.mark.parametrize("data,now,before", [
+        (b"1,inf\n3\n", "line 1: non-finite field", "line 2: expected 2 columns, got 1"),
+        (b"1,2\n3\n\xff\n", "line 2: expected 2 columns, got 1",
+         "line 3: not UTF-8 text (invalid start byte)"),
+    ], ids=["non-finite-first", "ragged-before-bad-byte"])
+    def test_first_faulty_line_in_file_order(self, tmp_path, data, now, before):
+        # the former reader named a UTF-8 fault before any other, and a
+        # non-finite field after every ragged row
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        assert csv_outcome(load_matrix_csv, path) == (ParseError, now)
+        assert csv_outcome(reference_load_matrix_csv, path) == (ParseError, before)
+
+    @pytest.mark.parametrize("fault", [b"1,x", b"1", b"1,inf", b"1,1e999", b"1,\xff"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_fault_at_a_real_block_boundary(self, tmp_path, fault, offset):
+        lines = [b"a,b"] + [b"%d.5,%d" % (i % 997, -i) for i in range(40000)]
+        data = b"\n".join(lines) + b"\n"
+        # the first block ends at the last newline inside its byte budget
+        boundary = data.rfind(b"\n", 0, graph_mod._BLOCK_BYTES) + 1
+        at = data.count(b"\n", 0, boundary) + offset  # 0-based line index
+        lines[at] = fault.ljust(len(lines[at]))  # same length: the boundary stays
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        got = csv_outcome(load_matrix_csv, path)
+        assert got == csv_outcome(reference_load_matrix_csv, path)
+        assert got[1].startswith(f"line {at + 1}: ")
+
+    def test_numpy_agrees_with_float_on_short_tokens(self):
+        # every token of up to 4 characters over the bytes a field of a
+        # block numpy reads may hold
+        tokens = ["".join(chars) for size in range(1, 5)
+                  for chars in itertools.product("0123456789+-.eE \t", repeat=size)]
+        assert numpy_agrees_with_float(tokens) == (33370, 55370)
+
+    def test_numpy_agrees_with_float_on_random_numbers(self):
+        # long mantissas (rounding), exponents past both ends of the
+        # range (overflow, subnormals, underflow to zero), padding, and
+        # one stray character in a fifth of them
+        rng = np.random.default_rng(22)
+
+        def digits(most):
+            return "".join(rng.choice(list("0123456789"), rng.integers(0, most + 1)))
+
+        tokens = []
+        for _ in range(20000):
+            tok = (rng.choice(["", "+", "-"]) + digits(25)
+                   + (("." + digits(25)) if rng.random() < 0.7 else "")
+                   + ((rng.choice(["e", "E"]) + rng.choice(["", "+", "-"]) + digits(3))
+                      if rng.random() < 0.6 else ""))
+            if rng.random() < 0.2:
+                at = rng.integers(0, len(tok) + 1)
+                tok = tok[:at] + rng.choice(list("0123456789+-.eE \t")) + tok[at:]
+            tokens.append(rng.choice(["", " ", "\t"]) + tok + rng.choice(["", " ", "\t "]))
+        finite, refused = numpy_agrees_with_float(tokens)
+        assert finite > 5000 and refused > 1000
+
+    def test_peak_memory_follows_the_matrix(self, tmp_path):
+        # a 50000 x 32 matrix with a header, written as perfbench writes
+        # one: the 30 MiB file, the 12.2 MiB matrix and its copy, and one
+        # block's scratch; the whole-text reader peaked at 213 MiB
+        M = np.random.default_rng(3).standard_normal((50_000, 32))
+        path = tmp_path / "train.csv"
+        path.write_text(",".join(f"f{j}" for j in range(32)) + "\n"
+                        + "\n".join(",".join(repr(x) for x in row) for row in M.tolist()))
+        assert peak_bytes(load_matrix_csv, path) < 100 * 2**20
+        assert np.array_equal(load_matrix_csv(path), M)
