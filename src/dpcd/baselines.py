@@ -4,7 +4,6 @@ random search, and greedy peeling for the dense-subgraph task."""
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -40,11 +39,7 @@ from .core import (
 _CHUNK = 65536
 
 # feasible points per block of exhaustive_oracle: about 2 MiB of scratch
-# at n = 20, where blocks of 65536 took 25-32 MiB at n = 16-20. On one
-# BLAS thread, OpenBLAS rounds a quadratic's value of each row of a
-# block of 4096 or more rows as in a block of 65536, but some rows of a
-# block of 2048 or fewer differently from n = 17; so the last block
-# takes the remainder rather than run short
+# at n = 20
 _ORACLE_BLOCK = 4096
 
 
@@ -102,22 +97,16 @@ def _feasible_blocks(n: int, c: ConstraintSpec):
     """(m, n) blocks of sign vectors covering the feasible set once: the
     slice's supports in the order of itertools.combinations, the cube's
     points in binary counting order (bit i of the count is entry i).
-    m is _ORACLE_BLOCK, except that the last block also takes the
-    remainder (so holds fewer than twice that), and a feasible set smaller
-    than a block is one block."""
-    total = math.comb(n, c.r) if c.is_exact_ones else 1 << n
-    # bounds made as the blocks are, so that a feasible set too large to
-    # enumerate is refused by its caller, not by the memory its list takes
-    starts = range(0, max(total - _ORACLE_BLOCK + 1, 1), _ORACLE_BLOCK)
-    bounds = ((lo, total if lo == starts[-1] else lo + _ORACLE_BLOCK) for lo in starts)
+    m is _ORACLE_BLOCK, except in the last block, which may be shorter."""
     if c.is_exact_ones:
         combos = itertools.combinations(range(n), c.r)
-        for lo, hi in bounds:
-            yield _sign_rows(np.array(list(itertools.islice(combos, hi - lo)), dtype=np.intp), n)
+        for chunk in iter(lambda: list(itertools.islice(combos, _ORACLE_BLOCK)), []):
+            yield _sign_rows(np.array(chunk, dtype=np.intp), n)
     else:
+        total = 1 << n
         shifts = np.arange(n, dtype=np.uint64)
-        for lo, hi in bounds:
-            idx = np.arange(lo, hi, dtype=np.uint64)
+        for lo in range(0, total, _ORACLE_BLOCK):
+            idx = np.arange(lo, min(lo + _ORACLE_BLOCK, total), dtype=np.uint64)
             bits = (idx[:, None] >> shifts) & 1
             yield bits.astype(float) * 2.0 - 1.0
 

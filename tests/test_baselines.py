@@ -1,10 +1,6 @@
 """Reference solvers: signed-gradient descent, exhaustive search, peeling."""
 import dataclasses
 import itertools
-import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -24,58 +20,29 @@ from dpcd.core import _sign_rows
 from conftest import peak_bytes, random_quadratic
 
 
-def blocks_of_65536(n, c):
-    """_feasible_blocks as it was before the oracle's blocks shrank: the
-    same points in the same order, 65536 to a block, the last one short."""
-    if c.is_exact_ones:
-        combos = itertools.combinations(range(n), c.r)
-        for chunk in iter(lambda: list(itertools.islice(combos, 65536)), []):
-            yield _sign_rows(np.array(chunk, dtype=np.intp), n)
-    else:
-        total = 1 << n
-        shifts = np.arange(n, dtype=np.uint64)
-        for start in range(0, total, 65536):
-            idx = np.arange(start, min(start + 65536, total), dtype=np.uint64)
-            yield ((idx[:, None] >> shifts) & 1).astype(float) * 2.0 - 1.0
-
-
 def oracle_fields(res):
     return res.f_min, res.f_max, res.evaluations, res.optimum.tobytes()
 
 
-def check_oracle_bits():
-    """The oracle's bits against blocks_of_65536 (run on one BLAS thread).
+def feasible_points(n, constraint):
+    """Every feasible sign vector as an int64 row, in _feasible_blocks'
+    order, by itertools."""
+    if constraint.is_exact_ones:
+        points = [[1 if i in support else -1 for i in range(n)]
+                  for support in itertools.combinations(range(n), constraint.r)]
+    else:
+        # bit i of the count is entry i; product varies its last entry fastest
+        points = [point[::-1] for point in itertools.product((-1, 1), repeat=n)]
+    return np.array(points, dtype=np.int64).reshape(-1, n)
 
-    Every point's value has the bits it had in a 65536-point block: the
-    BLAS products behind f.values round a row of a block of 4096 or more
-    rows as in a block of 65536, but a row of a short block not (C(20, 14)
-    = 38760 would end in 1896 rows). Checked on the cube at n = 16, 17 and
-    20, on every slice at n = 17, and at n = 20 on a slice of one block
-    (r = 3), one that once filled one short block (r = 14) and ones that
-    once spanned two (r = 8) and three (r = 10). Random quadratics at
-    n = 15-20 keep their oracle fields.
-    """
-    cases = [(16, [UNCONSTRAINED]),
-             (17, [UNCONSTRAINED, *map(exact_ones, range(18))]),
-             (20, [UNCONSTRAINED, *map(exact_ones, (3, 8, 10, 14))])]
-    for n, constraints in cases:
-        f = random_quadratic(n, n)
-        for c in constraints:
-            got = np.concatenate([f.values(X) for X in _feasible_blocks(n, c)])
-            want = np.concatenate([f.values(X) for X in blocks_of_65536(n, c)])
-            assert got.tobytes() == want.tobytes(), (n, c)
-    rng = np.random.default_rng(0)
-    for n in (15, 18, 19, 20):
-        for seed in range(2):
-            f = random_quadratic(n, 100 * n + seed)
-            for c in (UNCONSTRAINED, exact_ones(int(rng.integers(1, n)))):
-                got = oracle_fields(exhaustive_oracle(f, c))
-                baselines._feasible_blocks = blocks_of_65536
-                try:
-                    want = oracle_fields(exhaustive_oracle(f, c))
-                finally:
-                    baselines._feasible_blocks = _feasible_blocks
-                assert got == want, (n, c)
+
+def brute_force_oracle(A, c, X):
+    """exhaustive_oracle's fields for integer A and c over the points X
+    (feasible_points), scored in exact integer arithmetic; of equal
+    minima the first point wins."""
+    values = np.einsum("ij,jk,ik->i", X, A, X) + X @ c
+    first = X[int(np.argmin(values))].astype(float)
+    return float(values.min()), float(values.max()), len(X), first.tobytes()
 
 
 def reference_peel(graph, k):
@@ -232,32 +199,41 @@ class TestExhaustiveOracle:
             with pytest.raises(NumericError):
                 exhaustive_oracle(nan_valued(random_quadratic(6, 1)), c)
 
-    @pytest.mark.parametrize("n,r", [(6, 0), (6, 1), (6, 6), (20, 10)])
+    @pytest.mark.parametrize("n,r", [(6, 0), (6, 1), (6, 6), (20, 10), (10, None)])
     def test_slice_blocks_match_combinations(self, n, r):
-        # C(20, 10) = 184756 rows span 45 blocks: 44 of 4096 rows, and a
-        # last one of 4532 that takes the remainder
-        want = -np.ones((math.comb(n, r), n))
-        for row, support in enumerate(itertools.combinations(range(n), r)):
-            want[row, list(support)] = 1.0
-        blocks = list(_feasible_blocks(n, exact_ones(r)))
-        assert len(blocks) == max(1, len(want) // 4096)
-        assert all(len(b) < 2 * 4096 for b in blocks)
+        # C(20, 10) = 184756 rows span 46 blocks: 45 of 4096 rows and a
+        # last one of 436. r = None is the cube, whose 2^n points fill
+        # every block from n = 12, so its short last block is its only one
+        c = UNCONSTRAINED if r is None else exact_ones(r)
+        want = feasible_points(n, c)
+        blocks = list(_feasible_blocks(n, c))
+        assert len(blocks) == -(-len(want) // 4096)
+        assert all(len(b) == 4096 for b in blocks[:-1]) and 0 < len(blocks[-1]) <= 4096
         assert np.array_equal(np.concatenate(blocks), want)
 
-    def test_bits_match_65536_row_blocks(self):
-        # one BLAS thread, as perfbench runs: threaded, OpenBLAS splits a
-        # block's X @ c over its threads at row counts that depend on the
-        # block's, so a row near a split could round differently with
-        # either blocking (with 65536-row blocks, random_quadratic(20, 20)
-        # on C(20, 8) rounds row 125968 otherwise on one and two threads)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1")
-        paths = [os.path.dirname(os.path.dirname(baselines.__file__)), os.path.dirname(__file__)]
-        script = (f"import sys; sys.path[:0] = {paths!r}; "
-                  "import test_baselines; test_baselines.check_oracle_bits()")
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=240)
-        assert proc.returncode == 0, proc.stderr
+    @pytest.mark.parametrize("tied", [False, True], ids=["c", "no-c"])
+    @pytest.mark.parametrize("n,c", [
+        *(pytest.param(n, UNCONSTRAINED, id=f"cube{n}") for n in (1, 2, 3, 6, 13, 14)),
+        *(pytest.param(n, exact_ones(r), id=f"{r}of{n}")
+          for n, r in [*((12, r) for r in range(13)), (7, 1), (8, 2)])])
+    def test_any_block_height_gives_exact_fields(self, n, c, tied, monkeypatch):
+        # integer entries in -3..3 make every product and sum exact whatever
+        # BLAS kernel runs, so blocks of 1, 7 and 4096 points must agree
+        # with the brute force bit for bit. Without c, f(x) = f(-x): each
+        # minimum of the cube (and of the 6-of-12 slice) ties with its
+        # mirror, which from n = 13 lies in another block at every height,
+        # and the first point enumerated must win
+        rng = np.random.default_rng(100 * n + (c.r if c.is_exact_ones else n))
+        A = np.triu(rng.integers(-3, 4, (n, n)))
+        A = A + np.triu(A, 1).T
+        b = np.zeros(n, dtype=np.int64) if tied else rng.integers(-3, 4, n)
+        points = feasible_points(n, c)
+        want = brute_force_oracle(A, b, points)
+        f = make_quadratic(A, b)
+        for height in (1, 7, 4096):
+            monkeypatch.setattr(baselines, "_ORACLE_BLOCK", height)
+            assert np.array_equal(np.concatenate(list(_feasible_blocks(n, c))), points)
+            assert oracle_fields(exhaustive_oracle(f, c)) == want, height
 
     @pytest.mark.parametrize("n,c", [(16, UNCONSTRAINED), (20, exact_ones(10))])
     def test_peak_memory_follows_block(self, n, c):
